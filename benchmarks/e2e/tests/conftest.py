@@ -1,0 +1,10 @@
+"""Make ``repro`` and the ``e2e`` package importable for these tests,
+however pytest was started."""
+
+import sys
+from pathlib import Path
+
+E2E = Path(__file__).resolve().parents[1]
+for path in (E2E.parents[1] / "src", E2E.parent):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
