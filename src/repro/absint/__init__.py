@@ -3,7 +3,7 @@
 Layout:
 
 * :mod:`repro.absint.liveness` — the one shared tensor-liveness pass
-  (engine, lint dataflow and the arena planner all consume it);
+  (codegen emit, lint dataflow and the arena planner all consume it);
 * :mod:`repro.absint.domain` — the interval abstract domain;
 * :mod:`repro.absint.ranges` — value-range analysis (``LINT-QR*``):
   int32-accumulator no-overflow and rescale-encodability proofs;

@@ -1,9 +1,10 @@
 """Tensor liveness over a computational graph — the one shared pass.
 
-Three consumers used to re-derive (or inline) this information:
+Three consumers need this information:
 
-* :meth:`repro.runtime.engine.InferenceEngine.run_batch` counted
-  remaining uses per tensor to free dead intermediates eagerly;
+* the emitted executor (:mod:`repro.codegen.emit`) drops each dead
+  intermediate right after its last consumer (:meth:`~TensorLiveness.
+  frees_at`), so a batch's working set stays at the live tensors;
 * :func:`repro.lint.dataflow.live_out` re-implemented the "last
   definition with no later read" scan over register def/use chains;
 * the memory-arena planner (:mod:`repro.absint.memplan`) needs exactly
@@ -16,10 +17,9 @@ primitives, shared with the register-level analysis in
 :mod:`repro.lint.dataflow` (same logic, different namespace — node ids
 there are register names).
 
-Freeing semantics match the engine exactly: a tensor dies after its
-last consumer evaluates; graph outputs (``keep``) and tensors with no
-consumers are live to the end of the batch (the engine never deletes
-them, because their use count never reaches zero).
+Freeing semantics: a tensor dies after its last consumer evaluates;
+graph outputs (``keep``) and tensors with no consumers are live to the
+end of the batch.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ class TensorLiveness:
     def frees_at(self, position: int) -> Tuple[int, ...]:
         """Tensor ids whose storage dies after ``position`` evaluates.
 
-        Exactly the deletions the engine's batch loop performs: the
-        ids whose last use is ``position`` and that are not kept.
+        Exactly the deletions the emitted code performs: the ids
+        whose last use is ``position`` and that are not kept.
         """
         return self._frees.get(position, ())
 

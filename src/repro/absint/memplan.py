@@ -4,19 +4,21 @@ The planner turns the shared liveness facts
 (:func:`repro.absint.liveness.tensor_liveness`) into a
 :class:`MemoryPlan`: one byte offset per intermediate tensor inside a
 single arena, assigned first-fit in address order so that tensors
-whose live intervals overlap never share bytes.
+whose live intervals overlap never share bytes.  The plan is a static
+*analysis* — per-sample footprint, reuse factor and the ``LINT-MP*``
+proofs that ``repro analyze`` and model registration report — not a
+runtime storage mode: emitted code keeps its intermediates in plain
+numpy temporaries.
 
 Allocation is **allocate-before-free**: when planning node ``p``'s
 output, only slots that died *strictly before* ``p`` are reusable — a
 tensor read at ``p`` is still claimed while ``p`` runs, so a node's
-output can never alias its own inputs.  That property is what lets
-the engine's per-sample fallback loop write sample ``s``'s output
-without corrupting the inputs samples ``s+1..`` still need.
+output can never alias its own inputs.
 
-Excluded from the arena (they keep plain storage in the engine):
+Excluded from the arena:
 
 * graph outputs (``keep``) — they outlive the batch;
-* tensors with no consumers — the engine never frees them;
+* tensors with no consumers — they are never freed;
 * ``Input``/``Constant`` values — feeds and weights are owned by the
   caller / the reference executor's cache.
 
@@ -41,7 +43,7 @@ from repro.absint.liveness import TensorLiveness, tensor_liveness
 #: stride, and enough that offset arithmetic stays cache-line clean).
 ALIGNMENT = 64
 
-#: Every tensor the engine stores is float64.
+#: Every tensor the runtime stores is float64.
 ELEMENT_BYTES = 8
 
 
@@ -209,7 +211,7 @@ def verify_memory_plan(
         if plannable(node, lv) and node_id not in plan.slots:
             emit(
                 "LINT-MP003",
-                "plannable tensor has no arena slot",
+                "plannable tensor is missing its arena slot",
                 node.name,
                 node_id=node_id,
             )

@@ -30,16 +30,16 @@ Commands
 ``codegen MODEL``
     Emit the specialized straight-line executor for a model
     (:mod:`repro.codegen.emit`), prove it bit-identical to per-sample
-    execution (``verify_engine_parity(require_codegen=True)``) and
-    print emit-time/fingerprint/node statistics; ``--dump-source``
-    prints the generated Python.
+    execution (``verify_engine_parity``) and print
+    emit-time/fingerprint/node statistics; ``--dump-source`` prints the
+    generated Python.
 ``bench compile MODEL``
     Measure compiler throughput (cold / warm-disk-cache / parallel
     compiles) for one zoo model or ``all``; ``--json`` writes the
     rows to ``BENCH_compiler_throughput.json``.
 ``bench infer MODEL``
     Measure inference throughput (per-request calibration / frozen
-    calibration / batched / arena / codegen engine) for one zoo model;
+    calibration / emitted-code engine) for one zoo model;
     ``--json`` writes the rows to ``BENCH_inference_throughput.json``.
 ``tune MODEL``
     Search compiler configurations (SDA cost weights, unroll seeds,
@@ -473,10 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="parity-gate batch size (default: 4)",
     )
     codegen_p.add_argument(
-        "--no-arena", action="store_true",
-        help="emit against dict storage instead of the memory arena",
-    )
-    codegen_p.add_argument(
         "--kernel-mac-limit", type=int, default=0,
         help="GEMM routing threshold passed to the engine (default: 0 "
         "= always the exact BLAS path)",
@@ -523,7 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench_infer_p = bench_sub.add_parser(
         "infer",
-        help="time per-request-calibration / frozen / batched inference",
+        help="time per-request-calibration / frozen / emitted inference",
     )
     bench_infer_p.add_argument("model", help="zoo model name")
     bench_infer_p.add_argument(
@@ -538,10 +534,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_infer_p.add_argument(
         "--requests", type=int, default=8,
         help="requests per mode (default: 8)",
-    )
-    bench_infer_p.add_argument(
-        "--workers", type=int, default=2,
-        help="engine worker threads (default: 2)",
     )
     bench_infer_p.add_argument(
         "--kernel-mac-limit", type=int, default=0,
@@ -1063,60 +1055,47 @@ def _cmd_codegen(args) -> int:
     graph = _resolve_graph(args.model)
     compiled = GCD2Compiler(CompilerOptions()).compile(graph)
     engine = InferenceEngine(
-        compiled,
-        kernel_mac_limit=args.kernel_mac_limit,
-        arena=not args.no_arena,
-        codegen=True,
+        compiled, kernel_mac_limit=args.kernel_mac_limit
     )
+    feeds_list = example_feeds(compiled.graph, count=args.requests)
+    engine.calibrate(example_feeds(compiled.graph, count=2, seed=99))
+    emitted = engine.emitted()
+    if emitted is None:
+        print(
+            f"emission FAILED (engine degraded to interpreter): "
+            f"{engine.emission_error}",
+            file=sys.stderr,
+        )
+        return 1
     try:
-        feeds_list = example_feeds(compiled.graph, count=args.requests)
-        engine.calibrate(
-            example_feeds(compiled.graph, count=2, seed=99)
-        )
-        engine.run_batch(feeds_list[:1])  # triggers emission
-        if engine._codegen_error is not None:
-            print(
-                f"emission FAILED (engine degraded to interpreter): "
-                f"{engine._codegen_error}",
-                file=sys.stderr,
-            )
-            return 1
-        emitted = engine._emitted
-        try:
-            parity = verify_engine_parity(
-                engine, feeds_list, require_codegen=True
-            )
-        except RuntimeVerificationError as exc:
-            print(f"parity gate FAILED: {exc}", file=sys.stderr)
-            return 1
-        diag = engine.diagnostics
-        total = emitted.stacked_nodes + emitted.sample_nodes
-        print(f"model:        {args.model}")
-        print(f"fingerprint:  {emitted.fingerprint}")
-        print(f"emit time:    {diag.codegen_emit_ms:.1f} ms")
-        print(
-            f"source:       {len(emitted.source.splitlines())} lines "
-            f"({len(emitted.source)} bytes)"
-        )
-        print(
-            f"nodes:        {total} ({emitted.stacked_nodes} batched, "
-            f"{emitted.sample_nodes} per-sample)"
-        )
-        print(f"arena:        {not args.no_arena}")
-        print(
-            f"parity:       OK ({parity['samples']} samples, "
-            f"{parity['outputs']} outputs bit-identical)"
-        )
-        if args.dump_source:
-            print()
-            print(emitted.source)
-    finally:
-        engine.close()
+        parity = verify_engine_parity(engine, feeds_list)
+    except RuntimeVerificationError as exc:
+        print(f"parity gate FAILED: {exc}", file=sys.stderr)
+        return 1
+    total = emitted.stacked_nodes + emitted.sample_nodes
+    print(f"model:        {args.model}")
+    print(f"fingerprint:  {emitted.fingerprint}")
+    print(f"emit time:    {emitted.emit_ms:.1f} ms")
+    print(
+        f"source:       {len(emitted.source.splitlines())} lines "
+        f"({len(emitted.source)} bytes)"
+    )
+    print(
+        f"nodes:        {total} ({emitted.stacked_nodes} batched, "
+        f"{emitted.sample_nodes} per-sample)"
+    )
+    print(
+        f"parity:       OK ({parity['samples']} samples, "
+        f"{parity['outputs']} outputs bit-identical)"
+    )
+    if args.dump_source:
+        print()
+        print(emitted.source)
     return 0
 
 
 def _cmd_bench_infer(args) -> int:
-    """Inference-throughput benchmark: calibration and batching gains."""
+    """Inference-throughput benchmark: calibration and emitted-code gains."""
     from repro.harness import bench_infer_model
 
     if args.model not in MODELS:
@@ -1132,7 +1111,6 @@ def _cmd_bench_infer(args) -> int:
         args.model,
         requests=args.requests,
         kernel_mac_limit=args.kernel_mac_limit,
-        workers=args.workers,
         options=options,
     )
 
@@ -1155,7 +1133,6 @@ def _cmd_bench_infer(args) -> int:
             "inference_throughput",
             rows,
             requests=args.requests,
-            workers=args.workers,
             kernel_mac_limit=args.kernel_mac_limit,
             machine=rows[0]["machine"] if rows else None,
             machine_schema=rows[0]["machine_schema"] if rows else None,

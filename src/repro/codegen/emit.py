@@ -1,22 +1,21 @@
-"""Specialized per-model executor emission.
+"""Specialized per-model executor emission — the serving path.
 
-The interpreter (:class:`repro.runtime.executor.QuantizedExecutor` and
-the batched loop in :class:`repro.runtime.engine.InferenceEngine`)
-re-decides *per request* a long list of facts that are pure functions
-of the compiled model and its frozen calibration: which kernel path
-each node takes, the quantization parameters of every operand, the
-fixed-point rescale plan of every add/sub, the quantized weight levels
-of every GEMM, and which tensors die where.  On moderate graphs that
-per-instruction dispatch is the inference bottleneck (see
-``BENCH_inference_throughput.json``).
+The interpreter (:class:`repro.runtime.executor.QuantizedExecutor`, the
+per-sample semantic reference) re-decides *per request* a long list of
+facts that are pure functions of the compiled model and its frozen
+calibration: which kernel path each node takes, the quantization
+parameters of every operand, the fixed-point rescale plan of every
+add/sub, the quantized weight levels of every GEMM, and which tensors
+die where.  On moderate graphs that per-instruction dispatch is the
+inference bottleneck (see ``BENCH_inference_throughput.json``).
 
 :func:`emit_executor` moves all of those decisions to *emit time*: it
 walks the compiled graph once and generates the Python source of a
 straight-line, numpy-vectorized ``run_batch`` function — one statement
 block per node, no graph loop, no isinstance dispatch — with every
 emit-time-computable value (weight levels, quant params, rescale
-multipliers, output scales, shapes, arena slot ids) hoisted into the
-emitted module's namespace as a named constant.  The generated code is
+multipliers, output scales, shapes) hoisted into the emitted module's
+namespace as a named constant.  The generated code is
 compiled with :func:`compile`/``exec`` and returned as an
 :class:`EmittedExecutor` carrying the source and its fingerprint, so
 the artefact is inspectable and cacheable.
@@ -28,22 +27,20 @@ pure re-grouping (int8 GEMM rows are independent; elementwise kernels
 are per-element; data-movement ops only permute elements; per-row
 reductions see the identical element sequence per output element).
 ``verify.runtime.verify_engine_parity`` gates every emitted executor
-against the interpreter, and the fuzz suite checks random DAGs under
-both arena modes.  Nodes whose batching is *not* provably exact
-(BatchNorm mixes samples, transposes that move axis 0, ...) fall back
-to per-sample calls of the interpreter's own bound methods inside the
-emitted code — slower, but identical by construction.
+against the interpreter, and the fuzz suite checks random DAGs.  Nodes
+whose batching is *not* provably exact (BatchNorm mixes samples,
+transposes that move axis 0, ...) fall back to per-sample calls of the
+interpreter's own bound methods inside the emitted code — slower, but
+identical by construction.
 
-**Arena composition.**  With a memory plan
-(:mod:`repro.absint.memplan`), the emitted code writes every planned
-intermediate straight into its arena slot view — the dequantizing
-multiply targets the slot, so steady-state batches allocate nothing
-per request beyond small int8/int32 temporaries.
+Intermediates are plain numpy temporaries, dropped at their last use
+(:mod:`repro.absint.liveness`).
 
 Emission failure is a *degradation*, never an outage: the engine
 catches any exception here, records a structured diagnostics entry and
-keeps serving through the interpreter.  :func:`set_emit_fault_hook`
-lets the chaos/fault tests inject emission failures deterministically.
+keeps serving per sample through the interpreter.
+:func:`set_emit_fault_hook` lets the chaos/fault tests inject emission
+failures deterministically.
 """
 
 from __future__ import annotations
@@ -91,8 +88,8 @@ def set_emit_fault_hook(hook: Optional[Callable]) -> Optional[Callable]:
 class EmittedExecutor:
     """A compiled-and-loaded specialized executor for one model.
 
-    ``fn(feeds_list, views, arena_store)`` returns
-    ``(outputs, stacked_rows)`` with the same outputs contract as
+    ``fn(feeds_list)`` returns ``(outputs, stacked_rows)`` with the
+    same outputs contract as
     :meth:`repro.runtime.engine.InferenceEngine.run_batch`.
     """
 
@@ -100,7 +97,6 @@ class EmittedExecutor:
     fingerprint: str
     fn: Callable
     emit_ms: float
-    arena: bool
     node_count: int
     stacked_nodes: int
     sample_nodes: int
@@ -110,7 +106,6 @@ class EmittedExecutor:
         return {
             "fingerprint": self.fingerprint,
             "emit_ms": round(self.emit_ms, 3),
-            "arena": self.arena,
             "source_lines": self.source.count("\n") + 1,
             "nodes": self.node_count,
             "stacked_nodes": self.stacked_nodes,
@@ -128,15 +123,12 @@ class _Emitter:
         executor,
         *,
         kernel_mac_limit: Optional[int],
-        memory_plan=None,
     ) -> None:
         self.compiled = compiled
         self.graph = compiled.graph
         self.calibration = calibration
         self.executor = executor
         self.kernel_mac_limit = kernel_mac_limit
-        self.plan_slots = dict(memory_plan.slots) if memory_plan else {}
-        self.arena = memory_plan is not None
         self.liveness = compiled.liveness()
         self.plans = {cn.node.node_id: cn.plan for cn in compiled.nodes}
         self.lines: List[str] = []
@@ -153,7 +145,6 @@ class _Emitter:
             "_vasr": semantics.vasr,
             "_sat8": semantics.saturate_to_int8,
             "_mm32": None,  # filled lazily to avoid the import when unused
-            "_capture": _arena_capture,
         }
         self._counter = 0
         #: node_id -> {"list": varname} / {"stacked": varname}
@@ -201,53 +192,11 @@ class _Emitter:
     def set_list(self, node_id: int, var: str) -> None:
         self.forms[node_id] = {"list": var}
 
-    # -- arena helpers -----------------------------------------------------
-
-    def slot_view(self, node_id: int) -> Optional[str]:
-        """Emit the stacked view into the node's arena slot, if any."""
-        if node_id not in self.plan_slots:
-            return None
-        ps = self.shape(node_id)
-        name = f"sv{node_id}"
-        tail = ", ".join(str(int(d)) for d in ps[1:])
-        self.line(
-            f"{name} = views[{node_id}].reshape((batch, {tail}))"
-            if tail
-            else f"{name} = views[{node_id}].reshape((batch,))"
-        )
-        return name
-
-    def capture_list(self, node_id: int, var: str) -> None:
-        """Mirror the engine's per-sample arena capture for ``var``."""
-        if self.arena and node_id in self.plan_slots:
-            self.line(f"{var} = _capture(views[{node_id}], {var})")
-
-    def detach_keep(self, node_id: int) -> None:
-        """Keep-node results must not alias arena storage (engine rule)."""
-        if not self.arena or node_id not in self.liveness.keep:
-            return
-        entry = self.forms[node_id]
-        if "stacked" in entry:
-            var = entry["stacked"]
-            self.line(
-                f"if arena_store is not None and "
-                f"np.may_share_memory({var}, arena_store):"
-            )
-            self.line(f"    {var} = {var}.copy()")
-            entry.pop("list", None)
-        elif "list" in entry:
-            var = entry["list"]
-            self.line(
-                f"{var} = [_x.copy() if arena_store is not None and "
-                f"np.may_share_memory(_x, arena_store) else _x "
-                f"for _x in {var}]"
-            )
-
     # -- emission entry point ----------------------------------------------
 
     def emit(self) -> Tuple[str, Dict[str, object]]:
         header = [
-            "def run_batch(feeds_list, views=None, arena_store=None):",
+            "def run_batch(feeds_list):",
             "    batch = len(feeds_list)",
             "    if batch == 0:",
             "        return [], 0",
@@ -256,7 +205,6 @@ class _Emitter:
         for pos, node in enumerate(self.graph):
             self.line(f"# -- {node.name} ({node.op.op_type})")
             self._emit_node(node)
-            self.detach_keep(node.node_id)
             self._emit_frees(pos)
         self._emit_return()
         source = "\n".join(header + self.lines) + "\n"
@@ -454,16 +402,11 @@ class _Emitter:
             node, plan, "aq", bq_name, depth * units, depth=depth
         )
         accf = "acc" if f64 else "acc.astype(np.float64)"
-        sv = self.slot_view(nid) if self.arena else None
         var = f"v{nid}s"
-        if sv is not None:
-            self.line(f"np.multiply(acc, {sc}, out={sv}.reshape(-1, {units}))")
-            self.line(f"{var} = {sv}")
-        else:
-            self.line(
-                f"{var} = ({accf} * {sc})"
-                f".reshape((batch, {out_tail}))"
-            )
+        self.line(
+            f"{var} = ({accf} * {sc})"
+            f".reshape((batch, {out_tail}))"
+        )
         self.set_stacked(nid, var)
         self.stacked_nodes += 1
 
@@ -485,15 +428,8 @@ class _Emitter:
             node, plan, "aq", bq_name, flat * int(op.units), depth=flat
         )
         accf = "acc" if f64 else "acc.astype(np.float64)"
-        sv = self.slot_view(nid) if self.arena else None
         var = f"v{nid}s"
-        if sv is not None:
-            self.line(
-                f"np.multiply(acc, {sc}, out={sv}.reshape(-1, {int(op.units)}))"
-            )
-            self.line(f"{var} = {sv}")
-        else:
-            self.line(f"{var} = {accf} * {sc}")
+        self.line(f"{var} = {accf} * {sc}")
         self.set_stacked(nid, var)
         self.stacked_nodes += 1
 
@@ -515,7 +451,6 @@ class _Emitter:
         # — at an eighth of the copy bandwidth and a kh*kw-th of the
         # rounding work.
         var = f"v{nid}s"
-        sv = self.slot_view(nid) if self.arena else None
         act = (
             self.const("act", _ACTIVATIONS[op.fused_activation])
             if op.fused_activation
@@ -534,10 +469,7 @@ class _Emitter:
             # per-sample executor and the stacked engine already prove
             # M-invariance), so the bits match the stacked form.
             bqf_name = self.const("wqf", b_q.astype(np.float64))
-            if sv is not None:
-                self.line(f"out = {sv}")
-            else:
-                self.line(f"out = np.empty((batch, {oc}, {oh}, {ow}))")
+            self.line(f"out = np.empty((batch, {oc}, {oh}, {ow}))")
             self.line("for _s in range(batch):")
             self.line(
                 f"    aq = _im2col({qa}.quantize({x}[_s:_s+1]), "
@@ -580,10 +512,7 @@ class _Emitter:
             # elementwise or pure movement — slice-exact, identical
             # bits to the stacked form.
             self.line(f"acc = acc.reshape(batch, {oh * ow}, {oc})")
-            if sv is not None:
-                self.line(f"out = {sv}")
-            else:
-                self.line(f"out = np.empty((batch, {oc}, {oh}, {ow}))")
+            self.line(f"out = np.empty((batch, {oc}, {oh}, {ow}))")
             self.line("for _s in range(batch):")
             inner_acc = "acc[_s]" if f64 else "acc[_s].astype(np.float64)"
             self.line(
@@ -603,11 +532,7 @@ class _Emitter:
             )
             if act is not None:
                 self.line(f"out = {act}(out)")
-            if sv is not None:
-                self.line(f"np.copyto({sv}, out)")
-                self.line(f"{var} = {sv}")
-            else:
-                self.line(f"{var} = out")
+            self.line(f"{var} = out")
         self.set_stacked(nid, var)
         self.stacked_nodes += 1
 
@@ -625,7 +550,6 @@ class _Emitter:
             f"{var} = [_qcompute({nconst}, [{ins}], {pconst}) "
             f"for s in range(batch)]"
         )
-        self.capture_list(nid, var)
         self.set_list(nid, var)
         self.sample_nodes += 1
 
@@ -678,7 +602,6 @@ class _Emitter:
         lv_dtype = "np.int32" if narrow else "np.int64"
         osc = self.const("osc", plan.out_scale)
         var = f"v{nid}s"
-        sv = self.slot_view(nid) if self.arena else None
         chunk = _elems(node.output_shape[1:]) >= 50_000
         self.line(f"ba, bb = np.broadcast_arrays({a}, {b})")
         pre = "    " if chunk else ""
@@ -687,10 +610,7 @@ class _Emitter:
             # slicing the batch axis is exact — and the working set
             # stays cache-resident instead of streaming multi-MB
             # temporaries through each pass.
-            if sv is not None:
-                self.line(f"out = {sv}")
-            else:
-                self.line("out = np.empty(ba.shape)")
+            self.line("out = np.empty(ba.shape)")
             self.line("for _s in range(batch):")
             self.line(f"    acc = np.zeros(ba.shape[1:], dtype={lv_dtype})")
         else:
@@ -720,11 +640,7 @@ class _Emitter:
             self.line(f"{var} = out")
         else:
             self.line("out = _sat8(_vasr(acc, 0))")
-            if sv is not None:
-                self.line(f"np.multiply(out, {osc}, out={sv})")
-                self.line(f"{var} = {sv}")
-            else:
-                self.line(f"{var} = out.astype(np.float64) * {osc}")
+            self.line(f"{var} = out.astype(np.float64) * {osc}")
         self.set_stacked(nid, var)
         self.stacked_nodes += 1
 
@@ -739,7 +655,6 @@ class _Emitter:
             f"{var} = [_qaddsub({nconst}, {oconst}, [{a}[s], {b}[s]]) "
             f"for s in range(batch)]"
         )
-        self.capture_list(nid, var)
         self.set_list(nid, var)
         self.sample_nodes += 1
 
@@ -751,17 +666,7 @@ class _Emitter:
         self.line(f"lv = {qp}.quantize({x})")
         self.line("lv = _vmax(lv, np.zeros_like(lv))")
         var = f"v{nid}s"
-        sv = self.slot_view(nid) if self.arena else None
-        if sv is not None:
-            # The interpreter's out= path: same IEEE multiply targeted
-            # at the slot (zero_point is always 0 under calibration).
-            self.line(
-                f"np.multiply({qp}.scale, "
-                f"np.asarray(lv, dtype=np.float64), out={sv})"
-            )
-            self.line(f"{var} = {sv}")
-        else:
-            self.line(f"{var} = {qp}.dequantize(lv)")
+        self.line(f"{var} = {qp}.dequantize(lv)")
         self.set_stacked(nid, var)
         self.stacked_nodes += 1
 
@@ -771,7 +676,6 @@ class _Emitter:
         x = self.list_var(node.inputs[0])
         var = f"v{nid}"
         self.line(f"{var} = [_qrelu({nconst}, {x}[s]) for s in range(batch)]")
-        self.capture_list(nid, var)
         self.set_list(nid, var)
         self.sample_nodes += 1
 
@@ -793,7 +697,6 @@ class _Emitter:
             f"{var} = [_ref_eval({nconst}, [{ins}], {feeds}) "
             f"for s in range(batch)]"
         )
-        self.capture_list(nid, var)
         self.set_list(nid, var)
         self.sample_nodes += 1
 
@@ -817,12 +720,7 @@ class _Emitter:
             act = self.const("act", _ACTIVATIONS[op.fused_activation])
             self.line(f"out = {act}(out)")
         var = f"v{nid}s"
-        sv = self.slot_view(nid) if self.arena else None
-        if sv is not None:
-            self.line(f"np.copyto({sv}, out)")
-            self.line(f"{var} = {sv}")
-        else:
-            self.line(f"{var} = out")
+        self.line(f"{var} = out")
         self.set_stacked(nid, var)
         self.stacked_nodes += 1
         return True
@@ -1192,43 +1090,24 @@ def _make_input_fetch(node, reference):
     return fetch
 
 
-def _arena_capture(view, outs):
-    """Copy per-sample results into their arena slot, if they fit.
-
-    Identical logic to the engine's ``_arena_capture`` so the emitted
-    per-sample fallbacks behave exactly like the interpreter batch loop.
-    """
-    expected = view.shape[1:]
-    for result in outs:
-        if (
-            not isinstance(result, np.ndarray)
-            or result.dtype != np.float64
-            or result.shape != expected
-        ):
-            return outs
-    for sample, result in enumerate(outs):
-        np.copyto(view[sample], result)
-    return [view[sample] for sample in range(len(outs))]
-
-
 def emit_executor(
     compiled,
     calibration,
     executor,
     *,
     kernel_mac_limit: Optional[int] = None,
-    memory_plan=None,
 ) -> EmittedExecutor:
     """Emit, compile and load the specialized executor for one model.
 
-    ``executor`` is the engine's caller-thread
+    ``executor`` is the engine's reference
     :class:`~repro.runtime.executor.QuantizedExecutor`: the emitted
     code shares its weight-level / weight-param caches and falls back
     to its bound methods for per-sample nodes, so interpreter and
     emitted paths stay literally the same arithmetic.
 
     Raises whatever goes wrong during emission — the engine treats any
-    exception as a degradation and keeps serving via the interpreter.
+    exception as a degradation and keeps serving per sample via the
+    interpreter.
     """
     if _EMIT_FAULT_HOOK is not None:
         _EMIT_FAULT_HOOK(compiled)
@@ -1238,7 +1117,6 @@ def emit_executor(
         calibration,
         executor,
         kernel_mac_limit=kernel_mac_limit,
-        memory_plan=memory_plan,
     )
     source, namespace = emitter.emit()
     code = compile(source, f"<codegen:{compiled.graph.name}>", "exec")
@@ -1254,7 +1132,6 @@ def emit_executor(
         fingerprint=digest.hexdigest()[:16],
         fn=namespace["run_batch"],
         emit_ms=emit_ms,
-        arena=memory_plan is not None,
         node_count=len(list(compiled.graph)),
         stacked_nodes=emitter.stacked_nodes,
         sample_nodes=emitter.sample_nodes,

@@ -299,9 +299,8 @@ class CompiledModel:
         """The shared tensor-liveness pass for this graph, cached.
 
         Liveness is a pure function of the (immutable) compiled graph,
-        so every engine, arena planner and codegen emission over this
-        model reuses the one analysis instead of re-deriving it per
-        instance.
+        so every codegen emission over this model (one per pool
+        engine) reuses the one analysis instead of re-deriving it.
         """
         if self._liveness is None:
             from repro.absint.liveness import tensor_liveness
@@ -344,8 +343,8 @@ class CompiledModel:
         """A batched inference engine over this compiled model.
 
         Keyword arguments pass through to
-        :class:`repro.runtime.engine.InferenceEngine` (``workers``,
-        ``queue_size``, ``kernel_mac_limit``, ...).
+        :class:`repro.runtime.engine.InferenceEngine` (``calibration``,
+        ``seed``, ``kernel_mac_limit``).
         """
         from repro.runtime.engine import InferenceEngine
 

@@ -812,38 +812,30 @@ def bench_infer_model(
     requests: int = 8,
     calibration_samples: int = 2,
     kernel_mac_limit: Optional[int] = 0,
-    workers: int = 2,
     seed: int = 0,
     options: Optional[CompilerOptions] = None,
 ) -> List[Dict]:
-    """Cold / frozen / batched inference-throughput rows for one model.
+    """Cold / frozen / codegen inference-throughput rows for one model.
 
     * ``cold`` — a fresh executor per request, each auto-calibrating
       from its own feed: the pre-frozen-calibration cost model (one
       float forward per request on top of the int8 pass);
     * ``frozen`` — one executor calibrated once from
-      ``calibration_samples`` sample feeds, then pure int8 requests;
-    * ``batched`` — the :class:`~repro.runtime.engine.InferenceEngine`
-      running the same requests as one batch under the same frozen
-      calibration, with its bit-identity to the frozen row recorded;
-    * ``arena`` — the same engine backed by the statically verified
-      memory plan (:mod:`repro.absint.memplan`): intermediates live in
-      one preallocated arena, bit-identity to the frozen row recorded
-      alongside the arena footprint and reuse factor;
-    * ``codegen`` — the engine serving through its emitted straight-line
-      executor (:mod:`repro.codegen.emit`, arena-backed), warmed and
-      parity-proven (``verify_engine_parity(require_codegen=True)``)
-      before timing.
+      ``calibration_samples`` sample feeds, then pure int8 requests
+      (the per-sample reference every parity gate compares against);
+    * ``codegen`` — the :class:`~repro.runtime.engine.InferenceEngine`
+      serving the same requests as one batch through its emitted
+      straight-line executor (:mod:`repro.codegen.emit`), warmed and
+      parity-proven (``verify_engine_parity``) before timing, with its
+      bit-identity to the frozen row recorded.
 
-    The rows deliberately measure *different* serving configurations
-    (cold vs frozen calibration, unwarmed vs warmed engines), so each
-    row records its ``effective`` configuration and a
-    ``speedup_vs_cold`` ratio — cross-run comparisons should use the
-    ratios, not wall seconds, which drift with machine load.
+    Each row carries a ``speedup_vs_cold`` ratio — cross-run
+    comparisons should use the ratios, not wall seconds, which drift
+    with machine load.
 
     ``kernel_mac_limit=0`` routes every GEMM through the exact BLAS
     int32 path (bit-identical to the instruction kernels), keeping the
-    benchmark about calibration/batching overhead rather than the
+    benchmark about calibration/dispatch overhead rather than the
     semantic-level Python kernel loops.
     """
     import time
@@ -866,25 +858,21 @@ def bench_infer_model(
     )
     rows: List[Dict] = []
 
-    def row(
-        mode: str, seconds: float, effective: Optional[Dict] = None, **extra
-    ) -> Dict:
-        entry = {
-            "model": name,
-            "mode": mode,
-            "machine": machine_name,
-            "machine_schema": machine_schema,
-            "requests": requests,
-            "seconds": round(seconds, 6),
-            "requests_per_second": round(requests / seconds, 4)
-            if seconds
-            else float("inf"),
-            **extra,
-        }
-        if effective is not None:
-            entry["effective"] = effective
-        rows.append(entry)
-        return entry
+    def row(mode: str, seconds: float, **extra) -> None:
+        rows.append(
+            {
+                "model": name,
+                "mode": mode,
+                "machine": machine_name,
+                "machine_schema": machine_schema,
+                "requests": requests,
+                "seconds": round(seconds, 6),
+                "requests_per_second": round(requests / seconds, 4)
+                if seconds
+                else float("inf"),
+                **extra,
+            }
+        )
 
     start = time.perf_counter()
     for feeds in feeds_list:
@@ -892,18 +880,7 @@ def bench_infer_model(
             compiled, seed=seed, kernel_mac_limit=kernel_mac_limit
         )
         executor.run(feeds)
-    row(
-        "cold",
-        time.perf_counter() - start,
-        calibration="per-request",
-        effective={
-            "calibration": "per-request",
-            "batched": False,
-            "arena": False,
-            "codegen": False,
-            "warmed": False,
-        },
-    )
+    row("cold", time.perf_counter() - start, calibration="per-request")
 
     frozen_executor = QuantizedExecutor(
         compiled, seed=seed, kernel_mac_limit=kernel_mac_limit
@@ -916,142 +893,36 @@ def bench_infer_model(
         time.perf_counter() - start,
         calibration="frozen",
         calibration_samples=calibration.samples,
-        effective={
-            "calibration": "frozen",
-            "batched": False,
-            "arena": False,
-            "codegen": False,
-            "warmed": False,
-        },
     )
 
     engine = InferenceEngine(
-        compiled,
-        calibration,
-        seed=seed,
-        kernel_mac_limit=kernel_mac_limit,
-        workers=workers,
+        compiled, calibration, seed=seed, kernel_mac_limit=kernel_mac_limit
     )
-    try:
-        start = time.perf_counter()
-        batched_outputs = engine.run_batch(feeds_list)
-        seconds = time.perf_counter() - start
-        identical = all(
-            set(single) == set(batched)
-            and all(
-                np.array_equal(single[key], batched[key])
-                for key in single
-            )
-            for single, batched in zip(frozen_outputs, batched_outputs)
+    # Warm (triggers emission), then *prove* the emitted executor both
+    # served the batch and matched the per-sample executor bit-for-bit,
+    # before any timing.
+    engine.run_batch(feeds_list[:1])
+    parity = verify_engine_parity(engine, feeds_list)
+    start = time.perf_counter()
+    codegen_outputs = engine.run_batch(feeds_list)
+    seconds = time.perf_counter() - start
+    identical = all(
+        set(single) == set(emitted)
+        and all(
+            np.array_equal(single[key], emitted[key]) for key in single
         )
-        row(
-            "batched",
-            seconds,
-            calibration="frozen",
-            workers=workers,
-            identical_to_sequential=identical,
-            stacked_gemm_rows=engine.diagnostics.stacked_gemm_rows,
-            effective={
-                "calibration": "frozen",
-                "batched": True,
-                "arena": False,
-                "codegen": False,
-                "warmed": False,
-            },
-        )
-    finally:
-        engine.close()
-
-    arena_engine = InferenceEngine(
-        compiled,
-        calibration,
-        seed=seed,
-        kernel_mac_limit=kernel_mac_limit,
-        workers=workers,
-        arena=True,
+        for single, emitted in zip(frozen_outputs, codegen_outputs)
     )
-    try:
-        plan = arena_engine.memory_plan()
-        arena_engine.run_batch(feeds_list[:1])  # warm the arena + caches
-        start = time.perf_counter()
-        arena_outputs = arena_engine.run_batch(feeds_list)
-        seconds = time.perf_counter() - start
-        identical = all(
-            set(single) == set(arena)
-            and all(
-                np.array_equal(single[key], arena[key])
-                for key in single
-            )
-            for single, arena in zip(frozen_outputs, arena_outputs)
-        )
-        row(
-            "arena",
-            seconds,
-            calibration="frozen",
-            workers=workers,
-            identical_to_sequential=identical,
-            arena_bytes=plan.arena_size,
-            arena_slots=len(plan.slots),
-            arena_reuse=round(plan.reuse_factor, 4),
-            effective={
-                "calibration": "frozen",
-                "batched": True,
-                "arena": True,
-                "codegen": False,
-                "warmed": True,
-            },
-        )
-    finally:
-        arena_engine.close()
-
-    codegen_engine = InferenceEngine(
-        compiled,
-        calibration,
-        seed=seed,
-        kernel_mac_limit=kernel_mac_limit,
-        workers=workers,
-        arena=True,
-        codegen=True,
+    diag = engine.diagnostics
+    row(
+        "codegen",
+        seconds,
+        calibration="frozen",
+        identical_to_sequential=identical,
+        codegen_emit_ms=round(diag.codegen_emit_ms, 3),
+        codegen_fingerprint=diag.codegen_fingerprint,
+        parity_outputs=parity["outputs"],
     )
-    try:
-        # Warm (triggers emission), then *prove* the emitted executor
-        # both served the batch and matched the per-sample executor
-        # bit-for-bit, before any timing.
-        codegen_engine.run_batch(feeds_list[:1])
-        parity = verify_engine_parity(
-            codegen_engine, feeds_list, require_codegen=True
-        )
-        start = time.perf_counter()
-        codegen_outputs = codegen_engine.run_batch(feeds_list)
-        seconds = time.perf_counter() - start
-        identical = all(
-            set(single) == set(emitted)
-            and all(
-                np.array_equal(single[key], emitted[key])
-                for key in single
-            )
-            for single, emitted in zip(frozen_outputs, codegen_outputs)
-        )
-        diag = codegen_engine.diagnostics
-        row(
-            "codegen",
-            seconds,
-            calibration="frozen",
-            workers=workers,
-            identical_to_sequential=identical,
-            codegen_emit_ms=round(diag.codegen_emit_ms, 3),
-            codegen_fingerprint=diag.codegen_fingerprint,
-            parity_outputs=parity["outputs"],
-            effective={
-                "calibration": "frozen",
-                "batched": True,
-                "arena": True,
-                "codegen": True,
-                "warmed": True,
-            },
-        )
-    finally:
-        codegen_engine.close()
 
     cold_seconds = rows[0]["seconds"]
     for entry in rows:

@@ -1,133 +1,68 @@
 """Serving-grade batched inference over the quantized runtime.
 
-The :class:`InferenceEngine` amortizes everything that can be amortized
-across requests:
+A compiled model runs through exactly two executors:
 
-* **calibration** is frozen once (:mod:`repro.runtime.calibration`) and
-  shared read-only by every worker — no request ever runs the float
-  model;
-* **batching** stacks the sample rows of a whole batch through each
-  weight-form GEMM (matmul, dense, im2col'd convolution) so the batch
-  pays one kernel dispatch per operator instead of one per sample.
-  Because the int8 GEMM computes every output row from its own input
-  row alone, and the frozen calibration makes quantization parameters
-  data-independent, the stacked pass is *bit-identical* to running the
-  samples one by one (``repro.verify.runtime`` checks exactly that);
-* **concurrency** comes from a bounded request queue drained by a
-  thread pool of :class:`~repro.runtime.executor.QuantizedExecutor`
-  workers that share the compiled model and calibration read-only.
+* :class:`~repro.runtime.executor.QuantizedExecutor` — the per-sample
+  *semantic reference*.  Every parity gate compares against it.
+* the emitted straight-line function of :mod:`repro.codegen.emit` —
+  the *serving path*: one numpy-vectorized ``run_batch`` per model with
+  every emit-time-computable decision hoisted out of the request.
 
-Per-request latency and queue depth are recorded in an
-:class:`InferenceDiagnostics`, mirroring how
-:class:`~repro.verify.diagnostics.CompilationDiagnostics` reports what
-actually happened during a compile.
+The :class:`InferenceEngine` is what is left between them: it freezes
+calibration once (:mod:`repro.runtime.calibration`) so no request runs
+the float model, emits the serving function lazily, and serves each
+batch through it.  If emission fails the error latches and the engine
+serves the same batches per sample through the reference executor under
+the same calibration — bit-identical by the parity contract
+(``repro.verify.runtime`` checks exactly that), only slower.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-import time
-from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.compiler import CompiledModel, CompilerOptions
-from repro.graph import ops
-from repro.graph.graph import Node
-from repro.isa.instructions import Opcode
 from repro.runtime.calibration import FrozenCalibration
 from repro.runtime.executor import QuantizedExecutor
 
 
 @dataclass
 class InferenceDiagnostics:
-    """Everything noteworthy that happened while serving requests."""
+    """Counters for what the engine served, and how.
+
+    Constant size for the life of a server: request latency belongs to
+    the serving layer's diagnostics, not here.  ``warnings`` gets one
+    entry per failed emission, and a failure latches until the next
+    calibration.
+    """
 
     requests: int = 0
     batches: int = 0
-    arena_batches: int = 0
     codegen_batches: int = 0
     stacked_gemm_rows: int = 0
     codegen_emit_ms: Optional[float] = None
     codegen_fingerprint: Optional[str] = None
-    latencies_ms: List[float] = field(default_factory=list)
-    queue_depths: List[int] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
 
     def warn(self, message: str) -> None:
         self.warnings.append(message)
-
-    def record_request(self, latency_ms: float, queue_depth: int) -> None:
-        self.requests += 1
-        self.latencies_ms.append(latency_ms)
-        self.queue_depths.append(queue_depth)
 
     def record_batch(self, samples: int, stacked_rows: int) -> None:
         self.batches += 1
         self.requests += samples
         self.stacked_gemm_rows += stacked_rows
 
-    @property
-    def mean_latency_ms(self) -> float:
-        if not self.latencies_ms:
-            return 0.0
-        return sum(self.latencies_ms) / len(self.latencies_ms)
-
-    @property
-    def p99_latency_ms(self) -> float:
-        if not self.latencies_ms:
-            return 0.0
-        ordered = sorted(self.latencies_ms)
-        index = min(len(ordered) - 1, int(0.99 * len(ordered)))
-        return ordered[index]
-
-    @property
-    def max_queue_depth(self) -> int:
-        return max(self.queue_depths, default=0)
-
-    def summary_lines(self) -> List[str]:
-        lines = [f"requests served: {self.requests}"]
-        if self.batches:
-            lines.append(
-                f"batched runs: {self.batches} "
-                f"({self.stacked_gemm_rows} stacked GEMM rows)"
-            )
-        if self.arena_batches:
-            lines.append(f"arena-backed batches: {self.arena_batches}")
-        if self.codegen_batches:
-            lines.append(
-                f"codegen batches: {self.codegen_batches} "
-                f"(emit {self.codegen_emit_ms:.1f} ms, "
-                f"fingerprint {self.codegen_fingerprint})"
-            )
-        if self.latencies_ms:
-            lines.append(
-                f"latency: mean {self.mean_latency_ms:.2f} ms, "
-                f"p99 {self.p99_latency_ms:.2f} ms"
-            )
-        if self.queue_depths:
-            lines.append(f"max queue depth: {self.max_queue_depth}")
-        for warning in self.warnings:
-            lines.append(f"warning: {warning}")
-        return lines
-
-
-class _Shutdown:
-    """Queue sentinel telling a worker thread to exit."""
-
 
 class InferenceEngine:
-    """Batched, multi-worker inference over one compiled model.
+    """Frozen calibration plus the emitted serving function of one model.
 
-    All workers share ``compiled`` and the frozen calibration
-    read-only; each owns its executor instance (and thus its own
-    mutable per-request buffers).  The request queue is bounded:
-    :meth:`submit` blocks once ``queue_size`` requests are in flight,
-    providing natural backpressure.
+    Not thread-safe: concurrency comes from giving each thread its own
+    engine (:class:`repro.serve.pool.EnginePool` checks engines out),
+    all sharing the compiled model and calibration read-only.
     """
 
     def __init__(
@@ -137,55 +72,28 @@ class InferenceEngine:
         *,
         seed: int = 0,
         kernel_mac_limit: Optional[int] = None,
-        workers: int = 2,
-        queue_size: int = 64,
-        arena: bool = False,
-        codegen: bool = False,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if queue_size < 1:
-            raise ValueError("queue_size must be >= 1")
         self.compiled = compiled
         self.calibration = calibration
         self.seed = seed
         self.kernel_mac_limit = kernel_mac_limit
-        self.workers = workers
-        #: When set, ``run_batch`` stores intermediates in a single
-        #: preallocated buffer laid out by the statically verified
-        #: memory plan (:mod:`repro.absint.memplan`) and caches the
-        #: quantized weight levels across batches.  Bit-identical to
-        #: the dict-storage path (``repro.verify.runtime`` gates it).
-        self.arena = arena
-        #: When set, the first batch emits a specialized straight-line
-        #: executor for this model (:mod:`repro.codegen.emit`) and
-        #: later batches run through it — same arithmetic, none of the
-        #: per-node interpreter dispatch.  Emission failure degrades to
-        #: the interpreter with a diagnostics warning; the parity gate
-        #: (``repro.verify.runtime``) proves bit-identity.
-        self.codegen = codegen
         self.diagnostics = InferenceDiagnostics()
-        #: The shared liveness pass (:mod:`repro.absint.liveness`):
-        #: drives both the eager frees of the dict path and the arena
-        #: plan — computed once per *compiled model*, not per engine,
-        #: so pool engines share one analysis.
-        self._liveness = compiled.liveness()
-        self._memory_plan = None
-        self._arena_store: Optional[np.ndarray] = None
-        self._views_cache: Dict[int, Dict[int, np.ndarray]] = {}
         self._emitted = None
-        self._codegen_error: Optional[str] = None
+        self._emission_error: Optional[str] = None
         #: Fault-injection seam for the serving chaos harness: when
-        #: set, called with each node before the batch evaluates it;
+        #: set, :meth:`run_batch` first calls it with every graph node;
         #: raising simulates an engine failure mid-batch (the serving
         #: layer then degrades to bit-identical per-sample execution).
-        self.batch_fault_hook = None
-        self._queue: "queue.Queue" = queue.Queue(maxsize=queue_size)
-        self._threads: List[threading.Thread] = []
-        self._lock = threading.Lock()
-        self._closed = False
-        # The caller-thread executor: run_batch and calibrate use it.
-        self._local = self._new_executor()
+        self.batch_fault_hook: Optional[Callable] = None
+        # The reference executor: calibrates, lends its weight caches
+        # and per-sample kernels to the emitted code, and serves the
+        # batches itself when emission failed.
+        self._reference = QuantizedExecutor(
+            compiled,
+            seed=seed,
+            kernel_mac_limit=kernel_mac_limit,
+            calibration=calibration,
+        )
 
     @classmethod
     def from_model(
@@ -212,16 +120,13 @@ class InferenceEngine:
         self,
         sample_feeds: Sequence[Optional[Dict[str, np.ndarray]]],
     ) -> FrozenCalibration:
-        """Freeze calibration from samples and share it with workers."""
-        self.calibration = self._local.calibrate(sample_feeds)
-        with self._lock:
-            for executor in self._executors():
-                executor.calibration = self.calibration
+        """Freeze calibration from samples."""
+        self.calibration = self._reference.calibrate(sample_feeds)
         # Emitted executors hoist calibration-derived constants, so a
         # recalibration invalidates any emitted code (and clears a
         # previous emission failure — the bounds it choked on changed).
         self._emitted = None
-        self._codegen_error = None
+        self._emission_error = None
         return self.calibration
 
     def _require_calibration(self) -> FrozenCalibration:
@@ -233,516 +138,73 @@ class InferenceEngine:
             )
         return self.calibration
 
-    def _new_executor(self) -> QuantizedExecutor:
-        return QuantizedExecutor(
-            self.compiled,
-            seed=self.seed,
-            kernel_mac_limit=self.kernel_mac_limit,
-            calibration=self.calibration,
-        )
+    # -- emission ----------------------------------------------------------
 
-    def _executors(self) -> List[QuantizedExecutor]:
-        executors = [self._local]
-        executors.extend(
-            thread._executor  # type: ignore[attr-defined]
-            for thread in self._threads
-        )
-        return executors
-
-    # -- arena -------------------------------------------------------------
-
-    def memory_plan(self):
-        """The statically verified arena layout for this graph.
-
-        Planned lazily from the shared liveness pass and checked by
-        the independent ``LINT-MP*`` verifier before first use: an
-        unsafe plan raises instead of corrupting a batch.
-        """
-        if self._memory_plan is None:
-            from repro.absint.memplan import (
-                plan_memory,
-                verify_memory_plan,
-            )
-
-            graph = self.compiled.graph
-            plan = plan_memory(graph, self._liveness)
-            findings = verify_memory_plan(graph, plan, self._liveness)
-            if findings:
-                raise SimulationError(
-                    "memory plan failed static verification",
-                    stage="runtime",
-                    details={
-                        "findings": [d.to_dict() for d in findings]
-                    },
-                )
-            self._memory_plan = plan
-        return self._memory_plan
-
-    def _arena_views(self, batch: int) -> Dict[int, np.ndarray]:
-        """Per-tensor views into the arena for a given batch size.
-
-        The per-sample byte plan scales to a batch by giving every
-        slot ``batch`` consecutive copies of its element range; any
-        two slots disjoint per sample stay disjoint scaled.
-        """
-        plan = self.memory_plan()
-        elems = plan.arena_size // 8
-        need = max(1, elems * batch)
-        if self._arena_store is None or self._arena_store.size < need:
-            self._arena_store = np.empty(need, dtype=np.float64)
-            self._views_cache = {}
-        views = self._views_cache.get(batch)
-        if views is None:
-            graph = self.compiled.graph
-            views = {}
-            for node_id, slot in plan.slots.items():
-                shape = tuple(graph.node(node_id).output_shape)
-                count = 1
-                for dim in shape:
-                    count *= int(dim)
-                start = (slot.offset // 8) * batch
-                views[node_id] = self._arena_store[
-                    start:start + count * batch
-                ].reshape((batch,) + shape)
-            self._views_cache[batch] = views
-        return views
-
-    @staticmethod
-    def _arena_capture(view: np.ndarray, outs: List[np.ndarray]):
-        """Copy per-sample results into their arena slot, if they fit.
-
-        Results whose dtype/shape do not match the slot (defensive —
-        reference semantics always produce float64 of the inferred
-        shape) keep their heap storage; partial copies never happen
-        because the check runs before the first copy.
-        """
-        expected = view.shape[1:]
-        for result in outs:
-            if (
-                not isinstance(result, np.ndarray)
-                or result.dtype != np.float64
-                or result.shape != expected
-            ):
-                return outs
-        for sample, result in enumerate(outs):
-            np.copyto(view[sample], result)
-        return [view[sample] for sample in range(len(outs))]
-
-    # -- batched execution -------------------------------------------------
-
-    def run_batch(
-        self, feeds_list: Sequence[Optional[Dict[str, np.ndarray]]]
-    ) -> List[Dict[str, np.ndarray]]:
-        """Run a whole batch, stacking sample rows through the GEMMs.
-
-        Returns one output dict per sample, in order, bit-identical to
-        calling :meth:`QuantizedExecutor.run` per sample under the same
-        frozen calibration.
-        """
-        self._require_calibration()
-        if not feeds_list:
-            return []
-        if self.codegen and self.batch_fault_hook is None:
-            emitted = self._ensure_emitted()
-            if emitted is not None:
-                return self._run_emitted(emitted, feeds_list)
-        executor = self._local
-        graph = executor.graph
-        batch = len(feeds_list)
-        started = time.perf_counter()
-        stacked_rows = 0
-        # Liveness: a batch keeps `batch` copies of every live tensor,
-        # so dead intermediates are dropped eagerly — otherwise the
-        # working set grows ~batch x graph-size and the per-sample
-        # fallback ops slow down from cache pressure alone.  The facts
-        # come from the shared pass computed once at construction.
-        liveness = self._liveness
-        remaining_uses: Dict[int, int] = dict(liveness.use_counts)
-        keep = liveness.keep
-        views = self._arena_views(batch) if self.arena else None
-        values: Dict[int, List[np.ndarray]] = {}
-        for node in graph:
-            if self.batch_fault_hook is not None:
-                self.batch_fault_hook(node)
-            per_sample_inputs = [
-                [values[i][s] for i in node.inputs] for s in range(batch)
-            ]
-            view = None if views is None else views.get(node.node_id)
-            if batch > 1 and self._stackable(executor, node):
-                outs, rows = self._batched_gemm(
-                    executor, node, per_sample_inputs, view=view
-                )
-                stacked_rows += rows
-            elif batch > 1 and self._stackable_elementwise(
-                executor, node, per_sample_inputs
-            ):
-                outs = self._batched_elementwise(
-                    executor, node, per_sample_inputs, view=view
-                )
-            else:
-                outs = [
-                    executor._eval(
-                        node, per_sample_inputs[s], feeds_list[s] or {}
-                    )
-                    for s in range(batch)
-                ]
-                if view is not None:
-                    outs = self._arena_capture(view, outs)
-            if views is not None and view is None and node.node_id in keep:
-                # Graph outputs outlive the batch but ops like Reshape
-                # return views of arena memory the next batch would
-                # clobber — detach them.
-                outs = [
-                    out.copy()
-                    if np.may_share_memory(out, self._arena_store)
-                    else out
-                    for out in outs
-                ]
-            values[node.node_id] = outs
-            for input_id in node.inputs:
-                remaining_uses[input_id] -= 1
-                if remaining_uses[input_id] == 0 and input_id not in keep:
-                    del values[input_id]
-        self.diagnostics.record_batch(batch, stacked_rows)
-        if views is not None:
-            self.diagnostics.arena_batches += 1
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        self.diagnostics.latencies_ms.append(elapsed_ms / batch)
-        outputs = graph.output_nodes()
-        return [
-            {node.name: values[node.node_id][s] for node in outputs}
-            for s in range(batch)
-        ]
-
-    # -- codegen -----------------------------------------------------------
-
-    def _ensure_emitted(self):
-        """Emit the specialized executor once; None if emission failed.
+    def emitted(self):
+        """The :class:`~repro.codegen.emit.EmittedExecutor` serving this
+        engine, emitting it on first use; ``None`` if emission failed.
 
         A failed emission is a *degradation*, not an outage: it is
-        recorded in the diagnostics (and in ``_codegen_error``) and the
-        engine keeps serving through the interpreter.  The error
-        latches until the next :meth:`calibrate`.
+        recorded in the diagnostics and in :attr:`emission_error`, and
+        the engine keeps serving per sample.  The error latches until
+        the next :meth:`calibrate`.
         """
-        if self._codegen_error is not None:
-            return None
-        if self._emitted is None:
+        self._require_calibration()
+        if self._emitted is None and self._emission_error is None:
+            # Imported at call time: the end-to-end benchmark's tracer
+            # patches the name on the module.
             from repro.codegen.emit import emit_executor
 
             try:
-                plan = self.memory_plan() if self.arena else None
                 self._emitted = emit_executor(
                     self.compiled,
                     self.calibration,
-                    self._local,
+                    self._reference,
                     kernel_mac_limit=self.kernel_mac_limit,
-                    memory_plan=plan,
                 )
             except Exception as exc:  # noqa: BLE001 - degradation seam
-                self._codegen_error = (
+                self._emission_error = (
                     f"{type(exc).__name__}: {exc}" if str(exc)
                     else type(exc).__name__
                 )
                 self.diagnostics.warn(
                     "codegen emission failed; serving via interpreter: "
-                    + self._codegen_error
+                    + self._emission_error
                 )
                 return None
             self.diagnostics.codegen_emit_ms = self._emitted.emit_ms
             self.diagnostics.codegen_fingerprint = self._emitted.fingerprint
         return self._emitted
 
-    def _run_emitted(self, emitted, feeds_list):
-        """One batch through the emitted straight-line executor."""
-        batch = len(feeds_list)
-        started = time.perf_counter()
-        views = self._arena_views(batch) if self.arena else None
-        outputs, stacked_rows = emitted.fn(
-            list(feeds_list), views, self._arena_store if self.arena else None
-        )
-        self.diagnostics.record_batch(batch, stacked_rows)
-        self.diagnostics.codegen_batches += 1
-        if views is not None:
-            self.diagnostics.arena_batches += 1
-        elapsed_ms = (time.perf_counter() - started) * 1e3
-        self.diagnostics.latencies_ms.append(elapsed_ms / batch)
-        return outputs
+    @property
+    def emission_error(self) -> Optional[str]:
+        """Why this engine serves per sample instead of emitted code, or
+        ``None`` while emission is healthy (or has not been tried)."""
+        return self._emission_error
 
-    @staticmethod
-    def _stackable(executor: QuantizedExecutor, node: Node) -> bool:
-        """Whether the node is a weight-form GEMM the batch can share.
+    # -- execution ---------------------------------------------------------
 
-        Only GEMMs whose right-hand side is a (deterministic) weight
-        stack: the weight is the same for every sample, so sample rows
-        concatenate into one matrix product.  Activation x activation
-        matmuls keep their per-sample path.
-        """
-        op = node.op
-        plan = executor._plan_by_node.get(node.node_id)
-        if (
-            not op.is_compute_heavy
-            or plan is None
-            or plan.instruction
-            not in (Opcode.VMPY, Opcode.VMPA, Opcode.VRMPY)
-        ):
-            return False
-        if isinstance(op, ops.MatMul):
-            return (
-                op.weight_shape is not None and len(op.weight_shape) == 2
-            )
-        if isinstance(op, ops.Dense):
-            return True
-        return isinstance(op, ops.Conv2D) and op.groups == 1
-
-    @staticmethod
-    def _stackable_elementwise(
-        executor: QuantizedExecutor, node: Node, per_sample_inputs
-    ) -> bool:
-        """Whether the node's quantized elementwise path can stack.
-
-        Covers the executor's integer elementwise kernels — ReLU and
-        two-operand Add/Sub — whose arithmetic is exact and per-element,
-        so concatenating samples along the leading axis is
-        bit-identical.  Add/Sub stacks only when both operands carry
-        the full (identical) per-sample shape: a broadcast operand
-        would change meaning under concatenation.
-        """
-        op = node.op
-        if isinstance(op, ops.ReLU):
-            value = per_sample_inputs[0][0]
-            return value.ndim >= 1 and value.shape[0] > 0
-        if isinstance(op, (ops.Add, ops.Sub)) and len(node.inputs) == 2:
-            a, b = per_sample_inputs[0]
-            return (
-                a.ndim >= 1
-                and a.shape == b.shape
-                and a.shape[0] > 0
-            )
-        return False
-
-    @staticmethod
-    def _batched_elementwise(executor, node, per_sample_inputs, view=None):
-        """One stacked call through an integer elementwise kernel.
-
-        With an arena ``view`` the final dequantizing multiply writes
-        straight into the slot (the stacked rows of ``batch``
-        identically shaped samples are exactly the flattened view),
-        skipping both the output allocation and the split copies.
-        """
-        op = node.op
-        operands = len(per_sample_inputs[0])
-        stacked_inputs = []
-        for position in range(operands):
-            stacked_inputs.append(
-                np.concatenate(
-                    [inputs[position] for inputs in per_sample_inputs],
-                    axis=0,
-                )
-            )
-        target = None
-        if view is not None:
-            flat_shape = (
-                view.shape[0] * view.shape[1],
-            ) + view.shape[2:]
-            if flat_shape == stacked_inputs[0].shape:
-                target = view.reshape(flat_shape)
-        if isinstance(op, ops.ReLU):
-            out = executor._quantized_relu(
-                node, stacked_inputs[0], out=target
-            )
-        else:
-            out = executor._quantized_addsub(
-                node, op, stacked_inputs, out=target
-            )
-        if target is not None:
-            return [view[sample] for sample in range(view.shape[0])]
-        sizes = [inputs[0].shape[0] for inputs in per_sample_inputs]
-        return np.split(out, np.cumsum(sizes)[:-1], axis=0)
-
-    def _batched_gemm(self, executor, node, per_sample_inputs, view=None):
-        """One stacked GEMM for all samples of a weight-form node.
-
-        Mirrors :meth:`QuantizedExecutor._quantized_compute` exactly,
-        but concatenates the per-sample activation matrices along the
-        row axis before the one `_gemm_2d` call and splits the result
-        back afterwards.  Row-independence of the int8 GEMM makes the
-        answer bit-identical to the per-sample path.
-
-        Weight levels come from the executor's per-node cache
-        (quantized once per model lifetime — weights are deterministic,
-        so the levels never change).  With an arena ``view`` the
-        matmul/dense dequantizing multiply additionally targets the
-        slot directly — the stacked GEMM rows are exactly the flattened
-        slot view, so the split/reshape stage vanishes.
-        """
-        op = node.op
-        plan = executor._plan_by_node[node.node_id]
-        a_params = executor._frozen_params(node.inputs[0])
-        if isinstance(op, ops.MatMul):
-            b_float = executor.reference._weight(node, "w", op.weight_shape)
-            b_params = executor._params_for_weight(node, b_float)
-            if op.transpose_b:
-                b_float = np.swapaxes(b_float, -1, -2)
-            a_mats = [
-                inputs[0].reshape(-1, inputs[0].shape[-1])
-                for inputs in per_sample_inputs
-            ]
-            out_shapes = [
-                inputs[0].shape[:-1] + (b_float.shape[-1],)
-                for inputs in per_sample_inputs
-            ]
-        elif isinstance(op, ops.Dense):
-            a_mats = [
-                inputs[0].reshape(inputs[0].shape[0], -1)
-                for inputs in per_sample_inputs
-            ]
-            b_float = executor.reference._weight(
-                node, "w", (a_mats[0].shape[1], op.units)
-            )
-            b_params = executor._params_for_weight(node, b_float)
-            out_shapes = [
-                (mat.shape[0], op.units) for mat in a_mats
-            ]
-        else:  # Conv2D, groups == 1
-            col_shapes = []
-            a_mats = []
-            for inputs in per_sample_inputs:
-                cols = executor.reference._im2col(
-                    inputs[0], op.kernel, op.stride, op.padding
-                )
-                col_shapes.append(cols.shape)
-                a_mats.append(cols.reshape(-1, cols.shape[-1]))
-            b_float = executor.reference._weight(
-                node,
-                "w0",
-                (
-                    op.kernel[0] * op.kernel[1]
-                    * per_sample_inputs[0][0].shape[1],
-                    op.out_channels,
-                ),
-            )
-            b_params = executor._params_for_weight(node, b_float)
-            out_shapes = None  # handled below with the NHWC transpose
-        rows = [mat.shape[0] for mat in a_mats]
-        # Quantize per sample, concatenate the (8x smaller) int8 levels,
-        # and run one integer GEMM for the whole batch: the weight-side
-        # quantization and kernel dispatch are paid once per batch
-        # instead of once per sample.
-        stacked_q = np.concatenate(
-            [a_params.quantize(mat) for mat in a_mats], axis=0
-        )
-        b_q = executor._levels_for_weight(node, b_params, b_float)
-        target = None
-        if (
-            view is not None
-            and isinstance(op, (ops.MatMul, ops.Dense))
-            and all(shape == view.shape[1:] for shape in out_shapes)
-        ):
-            flat = view.reshape(-1, view.shape[-1])
-            if flat.shape == (sum(rows), b_q.shape[1]):
-                target = flat
-        out = executor._gemm_levels(
-            node, stacked_q, b_q, plan, a_params, b_params, out=target
-        )
-        if target is not None:
-            return (
-                [view[sample] for sample in range(view.shape[0])],
-                sum(rows),
-            )
-        pieces = np.split(out, np.cumsum(rows)[:-1], axis=0)
-        if isinstance(op, (ops.MatMul, ops.Dense)):
-            results = [
-                piece.reshape(shape)
-                for piece, shape in zip(pieces, out_shapes)
-            ]
-        else:
-            results = []
-            for piece, (n, oh, ow, _k) in zip(pieces, col_shapes):
-                sample = piece.reshape(n, oh, ow, op.out_channels)
-                sample = sample.transpose(0, 3, 1, 2)
-                if op.fused_activation:
-                    from repro.graph.execute import _ACTIVATIONS
-
-                    sample = _ACTIVATIONS[op.fused_activation](sample)
-                results.append(sample)
-        if view is not None:
-            results = self._arena_capture(view, results)
-        return results, sum(rows)
-
-    # -- request queue -----------------------------------------------------
-
-    def _ensure_workers(self) -> None:
-        with self._lock:
-            if self._closed:
-                raise SimulationError(
-                    "engine is closed", stage="runtime"
-                )
-            missing = self.workers - len(self._threads)
-            for _ in range(max(0, missing)):
-                executor = self._new_executor()
-                thread = threading.Thread(
-                    target=self._worker_loop,
-                    args=(executor,),
-                    daemon=True,
-                )
-                thread._executor = executor  # type: ignore[attr-defined]
-                thread.start()
-                self._threads.append(thread)
-
-    def _worker_loop(self, executor: QuantizedExecutor) -> None:
-        while True:
-            item = self._queue.get()
-            try:
-                if item is _Shutdown:
-                    return
-                feeds, future, enqueued, depth = item
-                if not future.set_running_or_notify_cancel():
-                    continue
-                try:
-                    result = executor.run(feeds)
-                except BaseException as exc:  # propagate to the caller
-                    future.set_exception(exc)
-                else:
-                    latency_ms = (time.perf_counter() - enqueued) * 1e3
-                    with self._lock:
-                        self.diagnostics.record_request(latency_ms, depth)
-                    future.set_result(result)
-            finally:
-                self._queue.task_done()
-
-    def submit(
-        self, feeds: Optional[Dict[str, np.ndarray]] = None
-    ) -> "Future":
-        """Enqueue one request; blocks while the queue is full."""
-        self._require_calibration()
-        self._ensure_workers()
-        future: Future = Future()
-        depth = self._queue.qsize()
-        self._queue.put((feeds, future, time.perf_counter(), depth))
-        return future
-
-    def run_many(
+    def run_batch(
         self, feeds_list: Sequence[Optional[Dict[str, np.ndarray]]]
     ) -> List[Dict[str, np.ndarray]]:
-        """Serve requests through the worker pool; results in order."""
-        futures = [self.submit(feeds) for feeds in feeds_list]
-        return [future.result() for future in futures]
+        """Run a whole batch; one output dict per sample, in order.
 
-    def close(self) -> None:
-        """Drain the queue and stop the worker threads."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            threads = list(self._threads)
-        for _ in threads:
-            self._queue.put(_Shutdown)
-        for thread in threads:
-            thread.join()
-        self._threads.clear()
-
-    def __enter__(self) -> "InferenceEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        Bit-identical to calling :meth:`QuantizedExecutor.run` per
+        sample under the same frozen calibration — which is literally
+        what happens when emission failed.
+        """
+        self._require_calibration()
+        if not feeds_list:
+            return []
+        if self.batch_fault_hook is not None:
+            for node in self.compiled.graph:
+                self.batch_fault_hook(node)
+        emitted = self.emitted()
+        if emitted is not None:
+            outputs, stacked_rows = emitted.fn(list(feeds_list))
+            self.diagnostics.codegen_batches += 1
+        else:
+            outputs = [self._reference.run(feeds) for feeds in feeds_list]
+            stacked_rows = 0
+        self.diagnostics.record_batch(len(feeds_list), stacked_rows)
+        return outputs

@@ -44,8 +44,8 @@ class QuantizedExecutor:
     generator the reference executor uses, so quantized and float runs
     are directly comparable.  Pass an existing
     :class:`~repro.runtime.calibration.FrozenCalibration` to share
-    calibration state read-only across executors (the inference engine
-    does this for its worker threads).
+    calibration state read-only across executors (the serving pool's
+    engines all share one).
 
     ``kernel_mac_limit`` bounds the per-GEMM work routed through the
     simulated instruction kernels (which are semantic-level Python
@@ -142,8 +142,8 @@ class QuantizedExecutor:
 
         Weights are deterministic and their params frozen, so the int8
         levels never change between requests; recomputing them per GEMM
-        call was pure waste (the engine's batched path and the emitted
-        codegen executors share this same cache).  ``b_float`` must
+        call was pure waste (emission hoists its weight constants
+        through this same cache).  ``b_float`` must
         already be in GEMM orientation (post ``transpose_b``).
         """
         cached = self._weight_levels.get(node.node_id)
@@ -171,7 +171,7 @@ class QuantizedExecutor:
 
     # -- integer elementwise kernels ---------------------------------------
 
-    def _quantized_addsub(self, node, op, inputs, out=None) -> np.ndarray:
+    def _quantized_addsub(self, node, op, inputs) -> np.ndarray:
         """Int-only add/sub: rescale both operands to a common scale
         with fixed-point multipliers, combine in int32, requantize.
 
@@ -213,10 +213,6 @@ class QuantizedExecutor:
         from repro.isa import semantics
 
         narrowed = semantics.saturate_to_int8(semantics.vasr(acc, 0))
-        if out is not None:
-            # Same IEEE multiply written into a caller-owned buffer
-            # (the engine's preallocated arena): bit-identical.
-            return np.multiply(narrowed, plan.out_scale, out=out)
         return narrowed.astype(np.float64) * plan.out_scale
 
     @staticmethod
@@ -247,20 +243,13 @@ class QuantizedExecutor:
             return levels * (multiplier << -shift)
         return (levels * multiplier) >> shift
 
-    def _quantized_relu(self, node, value: np.ndarray, out=None) -> np.ndarray:
+    def _quantized_relu(self, node, value: np.ndarray) -> np.ndarray:
         """ReLU on quantized levels (max against the zero level)."""
         params = self._frozen_params(node.inputs[0])
         levels = params.quantize(value)
         from repro.isa import semantics
 
         rectified = semantics.vmax(levels, np.zeros_like(levels))
-        if out is not None:
-            # dequantize() is scale * (levels - zero_point); the same
-            # operations targeted at a caller-owned buffer.
-            shifted = np.asarray(rectified, dtype=np.float64)
-            if params.zero_point:
-                shifted = shifted - params.zero_point
-            return np.multiply(params.scale, shifted, out=out)
         return params.dequantize(rectified)
 
     def _quantized_compute(self, node, inputs, plan):
@@ -365,16 +354,15 @@ class QuantizedExecutor:
         return self._gemm_levels(node, a_q, b_q, plan, a_params, b_params)
 
     def _gemm_levels(
-        self, node, a_q, b_q, plan, a_params, b_params, out=None
+        self, node, a_q, b_q, plan, a_params, b_params
     ) -> np.ndarray:
         """The integer core of one GEMM: int8 levels in, float out.
 
-        Exposed separately from :meth:`_gemm_2d` so the batched engine
-        can quantize per sample, concatenate int8 rows, and run the
-        whole batch through one call.  Every output row depends only on
-        its own input row, and the accumulation is exact integer
-        arithmetic on both paths, so the result is bit-identical under
-        any row grouping.
+        Every output row depends only on its own input row, and the
+        accumulation is exact integer arithmetic on both GEMM routes,
+        so the result is bit-identical under any row grouping — which
+        is what lets the emitted code (:mod:`repro.codegen.emit`) stack
+        a batch's rows through one product.
         """
         macs = a_q.shape[0] * a_q.shape[1] * b_q.shape[1]
         if (
@@ -400,9 +388,4 @@ class QuantizedExecutor:
                 },
             )
         scale = a_params.scale * b_params.scale
-        if out is not None and out.shape == acc.shape:
-            # int32 -> float64 promotion is exact, the multiply is the
-            # same IEEE operation: writing into the caller's arena
-            # buffer is bit-identical to the fresh-allocation path.
-            return np.multiply(acc, scale, out=out)
         return acc.astype(np.float64) * scale

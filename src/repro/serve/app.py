@@ -128,12 +128,7 @@ class ServeConfig:
     #: HTTP thread forever.
     pool_checkout_timeout_s: float = 30.0
     pool_size: int = 2
-    engine_workers: int = 2
     kernel_mac_limit: Optional[int] = 0
-    #: Pool engines serve through emitted per-model executors
-    #: (:mod:`repro.codegen.emit`); emission failures degrade each
-    #: engine to the interpreter and ride along in responses.
-    engine_codegen: bool = True
     calibration_seed: int = 99
     calibration_samples: int = 2
     #: Refuse to mark a model ready when the abstract interpreter finds
@@ -204,9 +199,6 @@ class ServeService:
         for thread in self._threads:
             thread.join(timeout=5.0)
         self._threads.clear()
-        for entry in self.registry.entries():
-            if entry.pool is not None:
-                entry.pool.close()
 
     def __enter__(self) -> "ServeService":
         return self.start()
@@ -484,9 +476,7 @@ class ServeService:
             pool = EnginePool(
                 compiled,
                 size=self.config.pool_size,
-                workers=self.config.engine_workers,
                 kernel_mac_limit=self.config.kernel_mac_limit,
-                codegen=self.config.engine_codegen,
                 checkout_timeout_s=self.config.pool_checkout_timeout_s,
                 calibration_feeds=example_feeds(
                     compiled.graph,
@@ -522,7 +512,6 @@ class ServeService:
             and analysis_summary is not None
             and analysis_summary.get("errors", 0)
         ):
-            pool.close()
             self._fail_job(
                 job,
                 entry,
@@ -541,7 +530,7 @@ class ServeService:
         diag = compiled.diagnostics
         entry.analysis = analysis_summary
         entry.compiled = compiled
-        old_pool, entry.pool = entry.pool, pool
+        entry.pool = pool
         entry.state = STATE_READY
         entry.error = None
         entry.compile_stats = {
@@ -553,8 +542,6 @@ class ServeService:
             "fallbacks": len(diag.fallbacks),
             "degradations": len(diag.degradations),
         }
-        if old_pool is not None:
-            old_pool.close()
         self.diagnostics.absorb_compile_degradations(
             job.model, diag.degradations
         )

@@ -1,19 +1,29 @@
-"""Per-model inference-engine pools with a batched→per-sample ladder.
+"""Per-model inference-engine pools with a two-rung robustness ladder.
 
 Each ready model owns an :class:`EnginePool`: a fixed set of
 :class:`~repro.runtime.engine.InferenceEngine` instances sharing the
 compiled model and one frozen calibration read-only (the expensive
 state is per-model, not per-engine).  Requests check an engine out,
 run the batch, and check it back in; checkout honours the request
-deadline so a saturated pool times out instead of hanging.
+deadline so a saturated pool times out instead of hanging.  Checking
+engines out is also where the concurrency comes from: an engine is
+single-threaded, the pool hands each request thread its own.
 
-The robustness ladder: a batch that dies mid-engine (the chaos
-harness's ``engine_exception_mid_batch`` fault, or any real kernel
-bug tripped by one request) degrades to per-sample execution through a
-fresh :class:`~repro.runtime.executor.QuantizedExecutor` under the
-*same* frozen calibration — bit-identical to the batched path by the
-engine's own parity contract — and the downgrade is recorded.  Only if
-the per-sample path also fails does the request surface an error.
+The robustness ladder, both rungs landing on the per-sample reference
+:class:`~repro.runtime.executor.QuantizedExecutor` under the *same*
+frozen calibration — bit-identical to the emitted code by the engine's
+parity contract — and both recorded in the response:
+
+* ``codegen → interpreter``: emission failed, so the engine itself
+  serves per sample (still ``mode: "batched"`` — the batch call
+  succeeded);
+* ``batched → per-sample``: ``run_batch`` raised (the chaos harness's
+  ``engine_exception_mid_batch`` fault, or any real kernel bug tripped
+  by one request), so the pool reruns the request through a fresh
+  executor and replaces the engine.
+
+Only if the per-sample path also fails does the request surface an
+error.
 """
 
 from __future__ import annotations
@@ -39,12 +49,10 @@ class EnginePool:
         compiled,
         *,
         size: int = 2,
-        workers: int = 2,
         seed: int = 0,
         kernel_mac_limit: Optional[int] = 0,
         checkout_timeout_s: float = 30.0,
         calibration_feeds: Optional[Sequence] = None,
-        codegen: bool = True,
     ) -> None:
         if size < 1:
             raise ValueError("pool size must be >= 1")
@@ -52,12 +60,7 @@ class EnginePool:
             raise ValueError("checkout_timeout_s must be positive")
         self.compiled = compiled
         self.seed = seed
-        self.workers = workers
         self.kernel_mac_limit = kernel_mac_limit
-        #: Pool engines prefer the emitted per-model executor
-        #: (:mod:`repro.codegen.emit`); emission failure degrades each
-        #: engine to the interpreter and is surfaced per response.
-        self.codegen = codegen
         #: Checkout bound for requests without a deadline: even then a
         #: saturated pool must reject, never hang the calling thread.
         self.checkout_timeout_s = checkout_timeout_s
@@ -65,14 +68,10 @@ class EnginePool:
         self.rebuilds = 0
         # Calibrate once on the first engine, then build the rest
         # *around* the frozen bounds: the constructor threads the
-        # calibration through to every internal executor, which a bare
-        # ``engine.calibration = ...`` assignment would miss.
+        # calibration through to the engine's reference executor, which
+        # a bare ``engine.calibration = ...`` assignment would miss.
         first = InferenceEngine(
-            compiled,
-            seed=seed,
-            kernel_mac_limit=kernel_mac_limit,
-            workers=workers,
-            codegen=codegen,
+            compiled, seed=seed, kernel_mac_limit=kernel_mac_limit
         )
         self.calibration: FrozenCalibration = first.calibrate(
             list(calibration_feeds or [None])
@@ -81,14 +80,12 @@ class EnginePool:
         #: observability; the same degradation also rides along in
         #: every ``infer`` response served by a degraded engine).
         self.startup_degradations: List[Dict] = []
-        if codegen:
-            # Emit eagerly so a broken emission is a *startup* fact,
-            # not a surprise on the first request.
-            first._ensure_emitted()
-            if first._codegen_error is not None:
-                self.startup_degradations.append(
-                    self._codegen_degradation(first._codegen_error)
-                )
+        # Emit eagerly so a broken emission is a *startup* fact, not a
+        # surprise on the first request.
+        if first.emitted() is None:
+            self.startup_degradations.append(
+                self._codegen_degradation(first.emission_error)
+            )
         self._engines: List[InferenceEngine] = [first]
         self._engines.extend(
             self._new_engine() for _ in range(size - 1)
@@ -96,7 +93,6 @@ class EnginePool:
         self._idle: "queue.Queue[InferenceEngine]" = queue.Queue()
         for engine in self._engines:
             self._idle.put(engine)
-        self._closed = False
         self._lock = threading.Lock()
 
     def _new_engine(self) -> InferenceEngine:
@@ -106,8 +102,6 @@ class EnginePool:
             self.calibration,
             seed=self.seed,
             kernel_mac_limit=self.kernel_mac_limit,
-            workers=self.workers,
-            codegen=self.codegen,
         )
 
     @staticmethod
@@ -160,8 +154,8 @@ class EnginePool:
 
         Returns ``{"outputs": [per-sample dicts], "mode": "batched" |
         "per-sample", "degradations": [...]}`` — the per-sample mode
-        only appears after a batched failure, and is bit-identical to
-        what the batched path would have produced.
+        only appears after ``run_batch`` raised, and is bit-identical
+        to what the engine would have produced.
         """
         if deadline is not None:
             deadline.check("inference-admission")
@@ -173,18 +167,13 @@ class EnginePool:
                 deadline.check("inference-start")
             try:
                 outputs = engine.run_batch(list(feeds_list))
-                if (
-                    self.codegen
-                    and getattr(engine, "_codegen_error", None) is not None
-                ):
+                if engine.emission_error is not None:
                     # The batch was served correctly, just by the
                     # interpreter instead of emitted code: a recorded
                     # degradation, not a failure.
-                    entry = self._codegen_degradation(
-                        engine._codegen_error
+                    degradations.append(
+                        self._codegen_degradation(engine.emission_error)
                     )
-                    if entry not in degradations:
-                        degradations.append(entry)
                 return {
                     "outputs": outputs,
                     "mode": "batched",
@@ -234,10 +223,6 @@ class EnginePool:
             if index is not None:
                 self._engines[index] = fresh
             self.rebuilds += 1
-        try:
-            engine.close()
-        except Exception:  # noqa: BLE001 - best-effort teardown
-            pass
         return fresh
 
     def _per_sample(
@@ -275,11 +260,3 @@ class EnginePool:
                     },
                 ) from exc
         return outputs
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        for engine in self._engines:
-            engine.close()

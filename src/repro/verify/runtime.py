@@ -1,6 +1,6 @@
-"""Differential verification of the batched inference engine.
+"""Differential verification of the inference engine.
 
-The engine's batching claim is strong — stacked execution is
+The serving path's claim is strong — the emitted batch function is
 *bit-identical* to per-sample execution under the same frozen
 calibration — so it is checked the same way the compiler's passes are:
 run both, compare exactly, raise a structured
@@ -24,9 +24,8 @@ def verify_engine_parity(
     engine,
     feeds_list: Sequence[Optional[Dict[str, np.ndarray]]],
     executor=None,
-    require_codegen: bool = False,
 ) -> Dict[str, int]:
-    """Check engine batched outputs against per-sample execution.
+    """Check the engine's emitted code against per-sample execution.
 
     Runs ``engine.run_batch(feeds_list)`` and an independent
     :class:`~repro.runtime.executor.QuantizedExecutor` (sharing the
@@ -35,10 +34,10 @@ def verify_engine_parity(
     tolerance.  Returns ``{"samples": ..., "outputs": ...}`` on
     success.
 
-    With ``require_codegen=True`` the check additionally proves the
-    batch was served by the engine's *emitted* executor — a silently
-    degraded engine (emission failed, interpreter fallback) fails the
-    gate instead of passing on the interpreter's own parity.
+    The check also proves the batch was served by the engine's
+    *emitted* executor: a degraded engine (emission failed, per-sample
+    fallback) fails the gate instead of passing on the interpreter's
+    parity with itself.
     """
     from repro.runtime.executor import QuantizedExecutor
 
@@ -51,23 +50,21 @@ def verify_engine_parity(
         )
     codegen_before = engine.diagnostics.codegen_batches
     batched = engine.run_batch(feeds_list)
-    if require_codegen:
-        if getattr(engine, "_codegen_error", None) is not None:
-            raise RuntimeVerificationError(
-                "engine degraded to the interpreter instead of serving "
-                "via emitted code",
-                stage="runtime",
-                details={"codegen_error": engine._codegen_error},
-            )
-        if engine.diagnostics.codegen_batches <= codegen_before:
-            raise RuntimeVerificationError(
-                "batch was not served by the emitted executor",
-                stage="runtime",
-                details={
-                    "codegen": getattr(engine, "codegen", False),
-                    "codegen_batches": engine.diagnostics.codegen_batches,
-                },
-            )
+    if engine.emission_error is not None:
+        raise RuntimeVerificationError(
+            "engine degraded to the interpreter instead of serving "
+            "via emitted code",
+            stage="runtime",
+            details={"codegen_error": engine.emission_error},
+        )
+    if engine.diagnostics.codegen_batches <= codegen_before:
+        raise RuntimeVerificationError(
+            "batch was not served by the emitted executor",
+            stage="runtime",
+            details={
+                "codegen_batches": engine.diagnostics.codegen_batches,
+            },
+        )
     outputs_checked = 0
     for index, feeds in enumerate(feeds_list):
         single = executor.run(feeds)

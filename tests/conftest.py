@@ -18,6 +18,36 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def broken_emitter():
+    """Every ``emit_executor`` call raises ``RuntimeError("chaos-emit")``.
+
+    Yields a callable that repairs the emitter early; teardown repairs
+    it regardless.
+    """
+    from repro.codegen import set_emit_fault_hook
+
+    def boom(compiled):
+        raise RuntimeError("chaos-emit")
+
+    previous = set_emit_fault_hook(boom)
+
+    def repair():
+        set_emit_fault_hook(previous)
+
+    yield repair
+    repair()
+
+
+def assert_outputs_equal(got, want) -> None:
+    """Two ``run_batch``-style results agree bit for bit."""
+    assert len(got) == len(want)
+    for sample_got, sample_want in zip(got, want):
+        assert set(sample_got) == set(sample_want)
+        for key in sample_want:
+            assert np.array_equal(sample_got[key], sample_want[key]), key
+
+
 def small_cnn(name: str = "small_cnn", size: int = 16) -> ComputationalGraph:
     """A small but representative CNN: convs, residual, pool, dense."""
     b = GraphBuilder(name)

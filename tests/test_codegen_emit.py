@@ -1,10 +1,9 @@
 """The emitted per-model executor: source properties, diagnostics,
 fingerprints, fallback seams."""
 
-import numpy as np
 import pytest
 
-from repro.codegen import emit_executor, set_emit_fault_hook
+from repro.codegen import emit_executor
 from repro.compiler import compile_model
 from repro.harness import example_feeds
 from repro.runtime import InferenceEngine, QuantizedExecutor
@@ -12,11 +11,11 @@ from repro.verify.runtime import (
     RuntimeVerificationError,
     verify_engine_parity,
 )
-from tests.conftest import chain_graph, small_cnn
+from tests.conftest import assert_outputs_equal, chain_graph, small_cnn
 
 
-def _codegen_engine(graph, requests=4, *, arena=True, **kwargs):
-    """(compiled, calibration, feeds, codegen-engine)."""
+def _codegen_engine(graph, requests=4, *, kernel_mac_limit=0):
+    """(compiled, calibration, feeds, engine)."""
     compiled = compile_model(graph)
     executor = QuantizedExecutor(compiled, seed=0, kernel_mac_limit=0)
     calibration = executor.calibrate(
@@ -24,13 +23,7 @@ def _codegen_engine(graph, requests=4, *, arena=True, **kwargs):
     )
     feeds = example_feeds(compiled.graph, count=requests, seed=7)
     engine = InferenceEngine(
-        compiled,
-        calibration,
-        seed=0,
-        kernel_mac_limit=kwargs.pop("kernel_mac_limit", 0),
-        arena=arena,
-        codegen=True,
-        **kwargs,
+        compiled, calibration, seed=0, kernel_mac_limit=kernel_mac_limit
     )
     return compiled, calibration, feeds, engine
 
@@ -38,66 +31,48 @@ def _codegen_engine(graph, requests=4, *, arena=True, **kwargs):
 class TestEmission:
     def test_emitted_source_is_straight_line_python(self):
         compiled, calibration, feeds, engine = _codegen_engine(small_cnn())
-        try:
-            engine.run_batch(feeds)
-            emitted = engine._emitted
-            assert emitted is not None
-            # One `# -- name (Op)` banner per graph node, in order.
-            banners = [
-                line.strip()
-                for line in emitted.source.splitlines()
-                if line.strip().startswith("# -- ")
-            ]
-            assert len(banners) == len(list(compiled.graph))
-            # The emitted module compiles standalone.
-            compile(emitted.source, "<emitted>", "exec")
-            assert emitted.stacked_nodes + emitted.sample_nodes == len(
-                banners
-            )
-            assert emitted.stacked_nodes > 0
-        finally:
-            engine.close()
+        engine.run_batch(feeds)
+        emitted = engine.emitted()
+        assert emitted is not None
+        # One `# -- name (Op)` banner per graph node, in order.
+        banners = [
+            line.strip()
+            for line in emitted.source.splitlines()
+            if line.strip().startswith("# -- ")
+        ]
+        assert len(banners) == len(list(compiled.graph))
+        # The emitted module compiles standalone.
+        compile(emitted.source, "<emitted>", "exec")
+        assert emitted.stacked_nodes + emitted.sample_nodes == len(banners)
+        assert emitted.stacked_nodes > 0
 
     def test_fingerprint_is_stable_across_emissions(self):
         graph = small_cnn()
-        _, _, feeds, first = _codegen_engine(graph)
+        _, _, _, first = _codegen_engine(graph)
         _, _, _, second = _codegen_engine(graph)
-        try:
-            first.run_batch(feeds)
-            second.run_batch(feeds)
-            assert first._emitted.fingerprint == second._emitted.fingerprint
-            assert first._emitted.source == second._emitted.source
-        finally:
-            first.close()
-            second.close()
+        assert first.emitted().fingerprint == second.emitted().fingerprint
+        assert first.emitted().source == second.emitted().source
 
     def test_diagnostics_record_emit_time_and_fingerprint(self):
         _, _, feeds, engine = _codegen_engine(small_cnn())
-        try:
-            engine.run_batch(feeds)
-            diag = engine.diagnostics
-            assert diag.codegen_batches == 1
-            assert diag.codegen_emit_ms is not None
-            assert diag.codegen_emit_ms > 0
-            assert diag.codegen_fingerprint == engine._emitted.fingerprint
-            assert any(
-                "codegen" in line for line in diag.summary_lines()
-            )
-        finally:
-            engine.close()
+        engine.run_batch(feeds)
+        diag = engine.diagnostics
+        assert diag.codegen_batches == 1
+        assert diag.codegen_emit_ms is not None
+        assert diag.codegen_emit_ms > 0
+        assert diag.codegen_fingerprint == engine.emitted().fingerprint
 
     def test_parity_all_modes(self):
-        for arena in (False, True):
+        # The emitter resolves the GEMM route at emit time: always BLAS
+        # (0), or a per-GEMM size test between BLAS and the instruction
+        # kernels (a positive limit; 2000 MACs splits small_cnn's GEMMs
+        # across both).  `None` — always kernels — is the next test.
+        for kernel_mac_limit in (0, 2_000):
             _, _, feeds, engine = _codegen_engine(
-                small_cnn(), arena=arena
+                small_cnn(), kernel_mac_limit=kernel_mac_limit
             )
-            try:
-                report = verify_engine_parity(
-                    engine, feeds, require_codegen=True
-                )
-                assert report["samples"] == len(feeds)
-            finally:
-                engine.close()
+            report = verify_engine_parity(engine, feeds)
+            assert report["samples"] == len(feeds)
 
     def test_parity_with_instruction_kernels(self):
         # kernel_mac_limit=None routes GEMMs through the semantic-level
@@ -107,80 +82,54 @@ class TestEmission:
             requests=2,
             kernel_mac_limit=None,
         )
-        try:
-            verify_engine_parity(engine, feeds, require_codegen=True)
-        finally:
-            engine.close()
+        verify_engine_parity(engine, feeds)
 
 
 class TestFallback:
-    def test_emit_failure_degrades_to_interpreter(self):
-        def boom(compiled):
-            raise RuntimeError("chaos-emit")
-
-        previous = set_emit_fault_hook(boom)
-        try:
-            _, _, feeds, engine = _codegen_engine(small_cnn())
-            try:
-                outputs = engine.run_batch(feeds)
-                assert len(outputs) == len(feeds)
-                assert "chaos-emit" in engine._codegen_error
-                assert engine.diagnostics.codegen_batches == 0
-                assert any(
-                    "emission failed" in warning
-                    for warning in engine.diagnostics.warnings
-                )
-                # The degraded engine still passes plain parity...
-                verify_engine_parity(engine, feeds)
-                # ...but fails the gate that demands emitted execution.
-                with pytest.raises(RuntimeVerificationError):
-                    verify_engine_parity(
-                        engine, feeds, require_codegen=True
-                    )
-            finally:
-                engine.close()
-        finally:
-            set_emit_fault_hook(previous)
+    def test_emit_failure_degrades_to_interpreter(self, broken_emitter):
+        compiled, calibration, feeds, engine = _codegen_engine(small_cnn())
+        outputs = engine.run_batch(feeds)
+        assert engine.emitted() is None
+        assert "chaos-emit" in engine.emission_error
+        assert engine.diagnostics.codegen_batches == 0
+        assert any(
+            "emission failed" in warning
+            for warning in engine.diagnostics.warnings
+        )
+        # The degraded engine serves the per-sample reference's bits...
+        reference = QuantizedExecutor(
+            compiled, seed=0, kernel_mac_limit=0, calibration=calibration
+        )
+        assert_outputs_equal(outputs, [reference.run(f) for f in feeds])
+        # ...but fails the gate, which demands emitted execution.
+        with pytest.raises(RuntimeVerificationError):
+            verify_engine_parity(engine, feeds)
 
     def test_recalibration_invalidates_emitted_code(self):
         compiled, _, feeds, engine = _codegen_engine(small_cnn())
-        try:
-            engine.run_batch(feeds)
-            first = engine._emitted
-            assert first is not None
-            engine.calibrate(
-                example_feeds(compiled.graph, count=2, seed=11)
-            )
-            assert engine._emitted is None
-            engine.run_batch(feeds)
-            assert engine._emitted is not first
-            verify_engine_parity(engine, feeds, require_codegen=True)
-        finally:
-            engine.close()
+        engine.run_batch(feeds)
+        first = engine.emitted()
+        assert first is not None
+        engine.calibrate(example_feeds(compiled.graph, count=2, seed=11))
+        second = engine.emitted()
+        assert second is not first
+        assert second.fingerprint != first.fingerprint
+        verify_engine_parity(engine, feeds)
 
-    def test_emit_failure_latches_until_recalibration(self):
-        def boom(compiled):
-            raise RuntimeError("chaos-emit")
-
-        previous = set_emit_fault_hook(boom)
+    def test_emit_failure_latches_until_recalibration(self, broken_emitter):
         compiled, _, feeds, engine = _codegen_engine(small_cnn())
-        try:
-            engine.run_batch(feeds)
-            assert engine._codegen_error is not None
-            set_emit_fault_hook(previous)
-            # The error latches: no re-emission attempt per batch.
-            engine.run_batch(feeds)
-            assert engine.diagnostics.codegen_batches == 0
-            # Recalibration clears it and emission succeeds.
-            engine.calibrate(
-                example_feeds(compiled.graph, count=2, seed=99)
-            )
-            engine.run_batch(feeds)
-            assert engine._codegen_error is None
-            assert engine.diagnostics.codegen_batches == 1
-        finally:
-            set_emit_fault_hook(previous)
-            engine.close()
+        engine.run_batch(feeds)
+        assert engine.emission_error is not None
+        broken_emitter()  # the emitter works again
+        # The error latches: no re-emission attempt per batch.
+        engine.run_batch(feeds)
+        assert engine.diagnostics.codegen_batches == 0
+        assert len(engine.diagnostics.warnings) == 1
+        # Recalibration clears it and emission succeeds.
+        engine.calibrate(example_feeds(compiled.graph, count=2, seed=99))
+        engine.run_batch(feeds)
+        assert engine.emission_error is None
+        assert engine.diagnostics.codegen_batches == 1
 
 
 class TestDirectEmission:
@@ -194,10 +143,6 @@ class TestDirectEmission:
         emitted = emit_executor(
             compiled, calibration, executor, kernel_mac_limit=0
         )
-        outputs, rows = emitted.fn(list(feeds), None, None)
-        expected = [executor.run(f) for f in feeds]
+        outputs, rows = emitted.fn(list(feeds))
         assert rows > 0
-        for got, want in zip(outputs, expected):
-            assert set(got) == set(want)
-            for key in want:
-                assert np.array_equal(got[key], want[key])
+        assert_outputs_equal(outputs, [executor.run(f) for f in feeds])

@@ -2,20 +2,23 @@
 
 The codegen contract is *bit-identity*: for every graph the zoo or the
 fuzzer can produce, the emitted straight-line code must return byte-for-
-byte the interpreter's outputs, with and without the arena.  Fuzz
-failures here mean a hot-path divergence the bench gates would hide.
+byte the interpreter's outputs.  Fuzz failures here mean a hot-path
+divergence the bench gates would hide.
 """
 
-import numpy as np
 import pytest
 
-from repro.codegen import set_emit_fault_hook
 from repro.compiler import compile_model
 from repro.harness import example_feeds
 from repro.runtime import InferenceEngine, QuantizedExecutor
 from repro.serve.pool import EnginePool
 from repro.verify.runtime import verify_engine_parity
-from tests.conftest import chain_graph, random_dag, small_cnn
+from tests.conftest import (
+    assert_outputs_equal,
+    chain_graph,
+    random_dag,
+    small_cnn,
+)
 
 FUZZ_SEEDS = list(range(12))
 
@@ -30,23 +33,26 @@ def _prepared(graph, requests=3):
     return compiled, calibration, feeds
 
 
-@pytest.mark.parametrize("seed", FUZZ_SEEDS)
-@pytest.mark.parametrize("arena", [False, True], ids=["plain", "arena"])
-def test_random_dag_bit_identical(seed, arena):
+def _pool(compiled, size=2):
+    return EnginePool(
+        compiled,
+        size=size,
+        calibration_feeds=example_feeds(compiled.graph, count=2, seed=99),
+    )
+
+
+# The ids keep their `plain-` prefix — plain numpy temporaries, the one
+# storage the emitted code has — so each seed's history stays one test.
+@pytest.mark.parametrize(
+    "seed", FUZZ_SEEDS, ids=[f"plain-{seed}" for seed in FUZZ_SEEDS]
+)
+def test_random_dag_bit_identical(seed):
     compiled, calibration, feeds = _prepared(random_dag(seed))
     engine = InferenceEngine(
-        compiled,
-        calibration,
-        seed=0,
-        kernel_mac_limit=0,
-        arena=arena,
-        codegen=True,
+        compiled, calibration, seed=0, kernel_mac_limit=0
     )
-    try:
-        report = verify_engine_parity(engine, feeds, require_codegen=True)
-        assert report["outputs"] > 0
-    finally:
-        engine.close()
+    report = verify_engine_parity(engine, feeds)
+    assert report["outputs"] > 0
 
 
 @pytest.mark.parametrize(
@@ -55,132 +61,64 @@ def test_random_dag_bit_identical(seed, arena):
     ids=["small_cnn", "chain"],
 )
 def test_named_graphs_bit_identical_both_modes(graph_factory):
+    # Both GEMM routes: the exact BLAS product (0) and the instruction
+    # kernels (None).
     compiled, calibration, feeds = _prepared(graph_factory(), requests=4)
-    for arena in (False, True):
+    for kernel_mac_limit in (0, None):
         engine = InferenceEngine(
             compiled,
             calibration,
             seed=0,
-            kernel_mac_limit=0,
-            arena=arena,
-            codegen=True,
+            kernel_mac_limit=kernel_mac_limit,
         )
-        try:
-            verify_engine_parity(engine, feeds, require_codegen=True)
-        finally:
-            engine.close()
-
-
-def test_arena_and_plain_emit_identical_outputs():
-    # Same batch through both modes of the *same* emitted model must
-    # agree with each other, not just each with the interpreter.
-    compiled, calibration, feeds = _prepared(small_cnn(), requests=4)
-    engines = [
-        InferenceEngine(
-            compiled,
-            calibration,
-            seed=0,
-            kernel_mac_limit=0,
-            arena=arena,
-            codegen=True,
-        )
-        for arena in (False, True)
-    ]
-    try:
-        plain_out = engines[0].run_batch(feeds)
-        arena_out = engines[1].run_batch(feeds)
-        for sample_a, sample_b in zip(plain_out, arena_out):
-            assert set(sample_a) == set(sample_b)
-            for key in sample_a:
-                assert np.array_equal(sample_a[key], sample_b[key])
-    finally:
-        for engine in engines:
-            engine.close()
+        verify_engine_parity(engine, feeds)
 
 
 class TestEmitFailureFuzz:
     """A broken emitter must never break serving — only degrade it."""
 
-    def test_pool_records_startup_degradation_and_serves(self):
-        def boom(compiled):
-            raise RuntimeError("fuzzed-emit-fault")
-
+    def test_pool_records_startup_degradation_and_serves(
+        self, broken_emitter
+    ):
         compiled, calibration, feeds = _prepared(small_cnn())
-        previous = set_emit_fault_hook(boom)
-        try:
-            pool = EnginePool(
-                compiled,
-                size=2,
-                calibration_feeds=example_feeds(
-                    compiled.graph, count=2, seed=99
-                ),
-                codegen=True,
-            )
-            try:
-                assert pool.startup_degradations == [
-                    {
-                        "component": "inference",
-                        "from": "codegen",
-                        "to": "interpreter",
-                        "reason": pool.startup_degradations[0]["reason"],
-                    }
-                ]
-                assert (
-                    "fuzzed-emit-fault"
-                    in pool.startup_degradations[0]["reason"]
-                )
-                response = pool.infer(feeds)
-                assert response["mode"] == "batched"
-                assert len(response["outputs"]) == len(feeds)
-                # The response carries the degradation so callers see
-                # they were served by the interpreter.
-                assert any(
-                    entry["from"] == "codegen"
-                    and entry["to"] == "interpreter"
-                    for entry in response["degradations"]
-                )
-            finally:
-                pool.close()
-        finally:
-            set_emit_fault_hook(previous)
+        pool = _pool(compiled)
+        assert pool.startup_degradations == [
+            {
+                "component": "inference",
+                "from": "codegen",
+                "to": "interpreter",
+                "reason": pool.startup_degradations[0]["reason"],
+            }
+        ]
+        assert "chaos-emit" in pool.startup_degradations[0]["reason"]
+        response = pool.infer(feeds)
+        assert response["mode"] == "batched"
+        assert len(response["outputs"]) == len(feeds)
+        # The response carries the degradation so callers see they
+        # were served by the interpreter.
+        assert any(
+            entry["from"] == "codegen" and entry["to"] == "interpreter"
+            for entry in response["degradations"]
+        )
 
-    def test_degraded_engine_is_still_bit_identical(self):
-        def boom(compiled):
-            raise RuntimeError("fuzzed-emit-fault")
-
+    def test_degraded_engine_is_still_bit_identical(self, broken_emitter):
         compiled, calibration, feeds = _prepared(small_cnn())
-        previous = set_emit_fault_hook(boom)
-        try:
-            engine = InferenceEngine(
-                compiled,
-                calibration,
-                seed=0,
-                kernel_mac_limit=0,
-                arena=True,
-                codegen=True,
-            )
-            try:
-                verify_engine_parity(engine, feeds)
-                assert engine._codegen_error is not None
-            finally:
-                engine.close()
-        finally:
-            set_emit_fault_hook(previous)
+        engine = InferenceEngine(
+            compiled, calibration, seed=0, kernel_mac_limit=0
+        )
+        degraded = engine.run_batch(feeds)
+        assert engine.emission_error is not None
+        broken_emitter()  # the emitter works again
+        healthy = InferenceEngine(
+            compiled, calibration, seed=0, kernel_mac_limit=0
+        )
+        assert_outputs_equal(degraded, healthy.run_batch(feeds))
+        assert healthy.emission_error is None
 
     def test_healthy_pool_has_no_startup_degradations(self):
         compiled, calibration, feeds = _prepared(small_cnn())
-        pool = EnginePool(
-            compiled,
-            size=2,
-            calibration_feeds=example_feeds(
-                compiled.graph, count=2, seed=99
-            ),
-            codegen=True,
-        )
-        try:
-            assert pool.startup_degradations == []
-            response = pool.infer(feeds)
-            assert response["mode"] == "batched"
-            assert response["degradations"] == []
-        finally:
-            pool.close()
+        pool = _pool(compiled)
+        assert pool.startup_degradations == []
+        response = pool.infer(feeds)
+        assert response["mode"] == "batched"
+        assert response["degradations"] == []

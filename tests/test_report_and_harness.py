@@ -85,7 +85,6 @@ class TestBenchInferRows:
         rows = harness.bench_infer_model(
             "mobilenet_v3",
             requests=1,
-            workers=1,
             options=CompilerOptions(machine="narrow64"),
         )
         assert rows

@@ -1,8 +1,8 @@
-"""The batched inference engine: bit-identity, threading, diagnostics.
+"""The inference engine: bit-identity, calibration gate, diagnostics.
 
-The engine's one non-negotiable claim is that batching and the worker
-pool are *transparent*: same bits as running the per-sample executor
-under the same frozen calibration.  ``verify_engine_parity`` checks it
+The engine's one non-negotiable claim is that its emitted batch code is
+*transparent*: same bits as running the per-sample executor under the
+same frozen calibration.  ``verify_engine_parity`` checks it
 differentially, and these tests run that check across graph shapes on
 both GEMM paths (instruction kernels and the exact BLAS fallback).
 """
@@ -20,7 +20,7 @@ from repro.verify.runtime import (
     RuntimeVerificationError,
     verify_engine_parity,
 )
-from tests.conftest import small_cnn
+from tests.conftest import chain_graph, small_cnn
 
 
 def _calibrated_engine(compiled, samples=2, **kwargs):
@@ -94,96 +94,12 @@ class TestCalibrationGate:
             engine.run_batch(example_feeds(engine.compiled.graph))
         assert "calibrate" in str(exc.value)
 
-    def test_submit_requires_calibration(self):
-        engine = InferenceEngine(compile_model(small_cnn()))
-        with pytest.raises(SimulationError):
-            engine.submit({})
-
-    def test_calibrate_reaches_every_worker_executor(self):
-        compiled = compile_model(small_cnn())
-        engine = _calibrated_engine(compiled, workers=2)
-        try:
-            engine.run_many(example_feeds(compiled.graph, count=2))
-            refreshed = engine.calibrate(
-                example_feeds(compiled.graph, count=1, seed=7)
-            )
-            assert all(
-                executor.calibration is refreshed
-                for executor in engine._executors()
-            )
-        finally:
-            engine.close()
-
-
-class TestWorkerPool:
-    def test_run_many_matches_sequential_order(self):
-        compiled = compile_model(small_cnn())
-        engine = _calibrated_engine(compiled, workers=2)
-        feeds = example_feeds(compiled.graph, count=5)
-        try:
-            pooled = engine.run_many(feeds)
-        finally:
-            engine.close()
-        executor = QuantizedExecutor(
-            compiled, calibration=engine.calibration
-        )
-        for got, sample in zip(pooled, feeds):
-            expected = executor.run(sample)
-            for name in expected:
-                np.testing.assert_array_equal(got[name], expected[name])
-
-    def test_diagnostics_record_each_request(self):
-        compiled = compile_model(small_cnn())
-        engine = _calibrated_engine(compiled, workers=1)
-        feeds = example_feeds(compiled.graph, count=4)
-        try:
-            engine.run_many(feeds)
-        finally:
-            engine.close()
-        diag = engine.diagnostics
-        assert diag.requests == 4
-        assert len(diag.latencies_ms) == 4
-        assert diag.mean_latency_ms > 0.0
-        assert diag.p99_latency_ms >= diag.mean_latency_ms / 4
-        assert any("requests served: 4" in line for line in diag.summary_lines())
-
-    def test_worker_errors_propagate_to_the_future(self):
-        compiled = compile_model(small_cnn())
-        engine = _calibrated_engine(compiled, workers=1)
-        try:
-            future = engine.submit({"image": np.zeros((2, 2))})
-            with pytest.raises(Exception):
-                future.result(timeout=30)
-        finally:
-            engine.close()
-
-    def test_closed_engine_rejects_submissions(self):
-        engine = _calibrated_engine(compile_model(small_cnn()))
-        engine.close()
-        with pytest.raises(SimulationError) as exc:
-            engine.submit({})
-        assert "closed" in str(exc.value)
-
-    def test_context_manager_closes(self):
-        compiled = compile_model(small_cnn())
-        with _calibrated_engine(compiled, workers=1) as engine:
-            engine.run_many(example_feeds(compiled.graph, count=1))
-        assert engine._closed
-        assert not engine._threads
-
-    def test_constructor_validates_pool_shape(self):
-        compiled = compile_model(small_cnn())
-        with pytest.raises(ValueError):
-            InferenceEngine(compiled, workers=0)
-        with pytest.raises(ValueError):
-            InferenceEngine(compiled, queue_size=0)
-
 
 class TestConvenienceConstructors:
     def test_compiled_model_spawns_executor_and_engine(self):
         compiled = compile_model(small_cnn())
         executor = compiled.executor(kernel_mac_limit=0)
-        engine = compiled.engine(kernel_mac_limit=0, workers=1)
+        engine = compiled.engine(kernel_mac_limit=0)
         assert isinstance(executor, QuantizedExecutor)
         assert isinstance(engine, InferenceEngine)
         assert executor.compiled is compiled
@@ -193,15 +109,31 @@ class TestConvenienceConstructors:
 class TestDiagnostics:
     def test_empty_diagnostics_are_calm(self):
         diag = InferenceDiagnostics()
-        assert diag.mean_latency_ms == 0.0
-        assert diag.p99_latency_ms == 0.0
-        assert diag.max_queue_depth == 0
-        assert diag.summary_lines() == ["requests served: 0"]
+        assert (diag.requests, diag.batches, diag.codegen_batches) == (0, 0, 0)
+        assert diag.stacked_gemm_rows == 0
+        assert diag.codegen_emit_ms is None
+        assert diag.codegen_fingerprint is None
+        assert diag.warnings == []
 
-    def test_batch_and_warning_lines(self):
-        diag = InferenceDiagnostics()
-        diag.record_batch(samples=3, stacked_rows=120)
-        diag.warn("queue saturated")
-        lines = diag.summary_lines()
-        assert any("120 stacked GEMM rows" in line for line in lines)
-        assert any("warning: queue saturated" in line for line in lines)
+    def test_diagnostics_stay_constant_size_over_many_batches(self):
+        # A `repro serve` process calls run_batch for its whole life:
+        # nothing in the diagnostics may grow with the request count.
+        compiled = compile_model(chain_graph(length=2, size=4))
+        engine = _calibrated_engine(compiled, kernel_mac_limit=0)
+        feeds = example_feeds(compiled.graph, count=1)
+        engine.run_batch(feeds)
+
+        def container_sizes():
+            return {
+                name: len(value)
+                for name, value in vars(engine.diagnostics).items()
+                if hasattr(value, "__len__") and not isinstance(value, str)
+            }
+
+        before = container_sizes()
+        assert "warnings" in before
+        for _ in range(1000):
+            engine.run_batch(feeds)
+        assert container_sizes() == before
+        assert engine.diagnostics.batches == 1001
+        assert engine.diagnostics.requests == 1001

@@ -542,7 +542,6 @@ class TestEnginePool:
         assert first["mode"] == "batched"
         assert second["mode"] == "batched"
         self._assert_outputs_equal(first["outputs"], second["outputs"])
-        pool.close()
 
     def test_saturated_pool_times_out_without_deadline(self, compiled):
         pool = self._pool(compiled, size=1, checkout_timeout_s=0.05)
@@ -556,7 +555,6 @@ class TestEnginePool:
         assert time.monotonic() - started < 5.0
         assert excinfo.value.details["timeout_s"] == 0.05
         pool._idle.put(engine)
-        pool.close()
 
     def test_failed_engine_is_rebuilt_not_recirculated(self, compiled):
         from repro.harness import example_feeds
@@ -578,4 +576,3 @@ class TestEnginePool:
         batched = pool.infer(feeds)
         assert batched["mode"] == "batched"
         self._assert_outputs_equal(batched["outputs"], degraded["outputs"])
-        pool.close()
