@@ -21,12 +21,12 @@ served.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.campaign.spec import CampaignSpec
 from repro.errors import CampaignError
+from repro.store import append_lines
 from repro.tune.db import default_tune_dir
 
 #: Cell lifecycle states (``pending`` is the absence of any event).
@@ -52,23 +52,6 @@ def default_campaign_dir(
     """
     root = default_tune_dir(cache_dir).parent
     return root / "campaigns" / (fingerprint[:16] or "default")
-
-
-def terminate_partial_line(handle) -> None:
-    """If an ``a+b`` handle's file ends mid-line, close the line.
-
-    A kill -9 during an append can leave a final line without its
-    newline.  The readers already skip and count that corrupt line —
-    but only if the *next* append does not merge with it.  Called
-    before every append so one crash artefact never contaminates a
-    good record.
-    """
-    handle.seek(0, 2)
-    if handle.tell() == 0:
-        return
-    handle.seek(handle.tell() - 1)
-    if handle.read(1) != b"\n":
-        handle.write(b"\n")
 
 
 def wall_bucket(seconds: float) -> str:
@@ -106,13 +89,7 @@ class CampaignDB:
             raise CampaignError(
                 f"unknown campaign event {event.get('event')!r}"
             )
-        self.root.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(event, sort_keys=True)
-        with open(self.path, "a+b") as handle:
-            terminate_partial_line(handle)
-            handle.write(line.encode("utf-8") + b"\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_lines(self.path, [json.dumps(event, sort_keys=True)])
 
     def record_created(self, spec: CampaignSpec) -> None:
         self.append({

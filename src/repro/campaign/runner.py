@@ -26,7 +26,6 @@ search runs single-process underneath so worker pools never nest.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -38,11 +37,11 @@ from repro.campaign.db import (
     CELL_ERROR,
     CampaignDB,
     default_campaign_dir,
-    terminate_partial_line,
     wall_bucket,
 )
 from repro.campaign.spec import CampaignSpec, CellKey
 from repro.errors import CampaignError
+from repro.store import append_lines
 from repro.tune.db import TrialDB, default_tune_dir, tune_schema_hash
 
 #: Fault-hook stages, in per-cell order.  Hooks exist for tests: a
@@ -77,13 +76,7 @@ def publish_trials(staging_path: Path, shared_path: Path) -> int:
         fresh = [line for line in staged if line not in existing]
         if not fresh:
             return 0
-        shared_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(shared_path, "a+b") as handle:
-            terminate_partial_line(handle)
-            for line in fresh:
-                handle.write(line.encode("utf-8") + b"\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_lines(shared_path, fresh)
     return len(fresh)
 
 

@@ -583,7 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--pool-size", type=int, default=2,
-        help="inference engines per ready model (default: 2)",
+        help="concurrent infers per ready model (default: 2)",
     )
     serve_p.add_argument(
         "--cold", action="store_true",

@@ -52,6 +52,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.absint.liveness import tensor_liveness
 from repro.graph import ops
 from repro.graph.execute import _ACTIVATIONS
 from repro.isa import semantics
@@ -129,7 +130,7 @@ class _Emitter:
         self.calibration = calibration
         self.executor = executor
         self.kernel_mac_limit = kernel_mac_limit
-        self.liveness = compiled.liveness()
+        self.liveness = tensor_liveness(self.graph)
         self.plans = {cn.node.node_id: cn.plan for cn in compiled.nodes}
         self.lines: List[str] = []
         self.ns: Dict[str, object] = {

@@ -291,22 +291,6 @@ class CompiledModel:
     diagnostics: CompilationDiagnostics = field(
         default_factory=CompilationDiagnostics
     )
-    _liveness: object = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def liveness(self):
-        """The shared tensor-liveness pass for this graph, cached.
-
-        Liveness is a pure function of the (immutable) compiled graph,
-        so every codegen emission over this model (one per pool
-        engine) reuses the one analysis instead of re-deriving it.
-        """
-        if self._liveness is None:
-            from repro.absint.liveness import tensor_liveness
-
-            self._liveness = tensor_liveness(self.graph)
-        return self._liveness
 
     @property
     def kernel_cycles(self) -> float:

@@ -10,22 +10,23 @@ A compiled model runs through exactly two executors:
 
 The :class:`InferenceEngine` is what is left between them: it freezes
 calibration once (:mod:`repro.runtime.calibration`) so no request runs
-the float model, emits the serving function lazily, and serves each
-batch through it.  If emission fails the error latches and the engine
-serves the same batches per sample through the reference executor under
-the same calibration — bit-identical by the parity contract
-(``repro.verify.runtime`` checks exactly that), only slower.
+the float model, emits the serving function once per calibration, and
+serves each batch through it.  If emission fails the error latches and
+the engine serves the same batches per sample through the reference
+executor under the same calibration — bit-identical by the parity
+contract (``repro.verify.runtime`` checks exactly that), only slower.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.compiler import CompiledModel, CompilerOptions
+from repro.compiler import CompiledModel
 from repro.runtime.calibration import FrozenCalibration
 from repro.runtime.executor import QuantizedExecutor
 
@@ -60,9 +61,15 @@ class InferenceDiagnostics:
 class InferenceEngine:
     """Frozen calibration plus the emitted serving function of one model.
 
-    Not thread-safe: concurrency comes from giving each thread its own
-    engine (:class:`repro.serve.pool.EnginePool` checks engines out),
-    all sharing the compiled model and calibration read-only.
+    Re-entrant once calibrated: any number of threads may call
+    :meth:`run_batch` and :meth:`emitted` on one engine, so a model
+    needs exactly one (:class:`repro.serve.pool.EnginePool` bounds how
+    many run at once).  The emitted function only reads hoisted
+    constants and writes locals, the reference executor's caches are
+    idempotent memos of deterministic values, ``run_batch`` keeps no
+    per-call state on ``self``, and emission and the diagnostics
+    counters are serialised by one lock.  The exception:
+    :meth:`calibrate` must not race ``run_batch``.
     """
 
     def __init__(
@@ -80,6 +87,9 @@ class InferenceEngine:
         self.diagnostics = InferenceDiagnostics()
         self._emitted = None
         self._emission_error: Optional[str] = None
+        #: Guards emission (at most one per calibration, however many
+        #: requests race the first call) and the diagnostics counters.
+        self._lock = threading.Lock()
         #: Fault-injection seam for the serving chaos harness: when
         #: set, :meth:`run_batch` first calls it with every graph node;
         #: raising simulates an engine failure mid-batch (the serving
@@ -94,25 +104,6 @@ class InferenceEngine:
             kernel_mac_limit=kernel_mac_limit,
             calibration=calibration,
         )
-
-    @classmethod
-    def from_model(
-        cls,
-        model_name: str,
-        options: Optional[CompilerOptions] = None,
-        **engine_kwargs,
-    ) -> "InferenceEngine":
-        """Compile a registry model and wrap it in an engine.
-
-        Compilation goes through :func:`repro.harness.compile_cached`,
-        so an engine warm-starts from the PR 3 schedule cache whenever
-        ``options.cache_dir`` points at a populated cache — spinning up
-        a fleet of engines costs one cold compile, not many.
-        """
-        from repro.harness import compile_cached
-
-        compiled = compile_cached(model_name, options)
-        return cls(compiled, **engine_kwargs)
 
     # -- calibration -------------------------------------------------------
 
@@ -150,31 +141,36 @@ class InferenceEngine:
         the next :meth:`calibrate`.
         """
         self._require_calibration()
-        if self._emitted is None and self._emission_error is None:
-            # Imported at call time: the end-to-end benchmark's tracer
-            # patches the name on the module.
-            from repro.codegen.emit import emit_executor
+        with self._lock:
+            if self._emitted is None and self._emission_error is None:
+                self._emit()
+            return self._emitted
 
-            try:
-                self._emitted = emit_executor(
-                    self.compiled,
-                    self.calibration,
-                    self._reference,
-                    kernel_mac_limit=self.kernel_mac_limit,
-                )
-            except Exception as exc:  # noqa: BLE001 - degradation seam
-                self._emission_error = (
-                    f"{type(exc).__name__}: {exc}" if str(exc)
-                    else type(exc).__name__
-                )
-                self.diagnostics.warn(
-                    "codegen emission failed; serving via interpreter: "
-                    + self._emission_error
-                )
-                return None
-            self.diagnostics.codegen_emit_ms = self._emitted.emit_ms
-            self.diagnostics.codegen_fingerprint = self._emitted.fingerprint
-        return self._emitted
+    def _emit(self) -> None:
+        """Emit or latch the failure; the caller holds the lock."""
+        # Imported at call time: the end-to-end benchmark's tracer
+        # patches the name on the module.
+        from repro.codegen.emit import emit_executor
+
+        try:
+            self._emitted = emit_executor(
+                self.compiled,
+                self.calibration,
+                self._reference,
+                kernel_mac_limit=self.kernel_mac_limit,
+            )
+        except Exception as exc:  # noqa: BLE001 - degradation seam
+            self._emission_error = (
+                f"{type(exc).__name__}: {exc}" if str(exc)
+                else type(exc).__name__
+            )
+            self.diagnostics.warn(
+                "codegen emission failed; serving via interpreter: "
+                + self._emission_error
+            )
+            return
+        self.diagnostics.codegen_emit_ms = self._emitted.emit_ms
+        self.diagnostics.codegen_fingerprint = self._emitted.fingerprint
 
     @property
     def emission_error(self) -> Optional[str]:
@@ -196,15 +192,18 @@ class InferenceEngine:
         self._require_calibration()
         if not feeds_list:
             return []
-        if self.batch_fault_hook is not None:
+        hook = self.batch_fault_hook
+        if hook is not None:
             for node in self.compiled.graph:
-                self.batch_fault_hook(node)
+                hook(node)
         emitted = self.emitted()
         if emitted is not None:
             outputs, stacked_rows = emitted.fn(list(feeds_list))
-            self.diagnostics.codegen_batches += 1
         else:
             outputs = [self._reference.run(feeds) for feeds in feeds_list]
             stacked_rows = 0
-        self.diagnostics.record_batch(len(feeds_list), stacked_rows)
+        with self._lock:
+            if emitted is not None:
+                self.diagnostics.codegen_batches += 1
+            self.diagnostics.record_batch(len(feeds_list), stacked_rows)
         return outputs

@@ -9,8 +9,8 @@ Seven pieces:
   on-disk manifest behind warm restarts;
 * :mod:`repro.serve.jobs` — bounded admission queue of async compile
   jobs (full queue → structured 429);
-* :mod:`repro.serve.pool` — per-model engine pools with the
-  batched→per-sample inference ladder;
+* :mod:`repro.serve.pool` — one shared engine per model behind an
+  admission gate, with the batched→per-sample inference ladder;
 * :mod:`repro.serve.breaker` — per-model circuit breakers quarantining
   repeatedly failing models;
 * :mod:`repro.serve.diagnostics` — thread-safe service diagnostics

@@ -19,8 +19,8 @@ The request lifecycle and its degradation ladder:
   :class:`~repro.serve.breaker.CircuitBreaker` that quarantines the
   model instead of burning workers on it;
 * **inference** runs on per-model :class:`~repro.serve.pool.EnginePool`
-  instances sharing one frozen calibration; a batch that dies mid-run
-  degrades to bit-identical per-sample execution;
+  instances — one shared engine behind an admission gate; a batch that
+  dies mid-run degrades to bit-identical per-sample execution;
 * **deadlines** are cooperative (:class:`~repro.verify.budget.Deadline`
   checked at every stage boundary): a slow compile or infer aborts with
   a structured 504, never a hung socket;
@@ -123,7 +123,7 @@ class ServeConfig:
     breaker_threshold: int = 3
     breaker_cooldown_s: float = 30.0
     default_deadline_s: Optional[float] = None
-    #: Engine checkout bound when a request carries no deadline: a
+    #: Pool admission bound when a request carries no deadline: a
     #: saturated pool sheds load with a 429 instead of parking the
     #: HTTP thread forever.
     pool_checkout_timeout_s: float = 30.0

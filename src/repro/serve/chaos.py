@@ -346,8 +346,7 @@ def fault_engine_exception_mid_batch(harness: ChaosHarness) -> ChaosResult:
             fails["left"] -= 1
             raise RuntimeError("injected engine fault mid-batch")
 
-    for engine in entry.pool.engines():
-        engine.batch_fault_hook = die_once
+    entry.pool.engine.batch_fault_hook = die_once
     degraded = service.infer("batch_model", batch=2, seed=21)
     violations = []
     if degraded["mode"] != "per-sample":

@@ -6,14 +6,25 @@ degradation-ladder step, retry, admission rejection, circuit-breaker
 transition and deadline timeout lands here, thread-safely, so the
 ``/status`` endpoint (and the chaos harness's invariant) can prove that
 faults were *handled* — degraded and recorded — rather than swallowed.
+
+A server lives long and clients drive several of these events (one
+degradation per response from a degraded engine, one warning per missed
+deadline), so the event records are rings of the most recent
+:data:`EVENT_RING` entries next to monotonic totals: ``/status`` stays
+constant-size however long the server has been up.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from collections import deque
+from typing import Deque, Dict, List, Optional
 
 from repro.verify.diagnostics import DegradationRecord
+
+#: Most recent entries kept of each event record (``degradations``,
+#: ``breaker_events``, ``warnings``); the totals count everything.
+EVENT_RING = 256
 
 
 class ServiceDiagnostics:
@@ -29,12 +40,23 @@ class ServiceDiagnostics:
         self.retries = 0
         self.deadline_timeouts = 0
         self.rejections: Dict[str, int] = {}
-        self.degradations: List[Dict[str, str]] = []
-        self.breaker_events: List[Dict[str, str]] = []
+        self.degradations: Deque[Dict[str, str]] = deque(maxlen=EVENT_RING)
+        self.breaker_events: Deque[Dict[str, str]] = deque(
+            maxlen=EVENT_RING
+        )
         self.warm_start: Dict[str, object] = {}
-        self.warnings: List[str] = []
+        self.warnings: Deque[str] = deque(maxlen=EVENT_RING)
+        #: Events ever recorded per ring, evicted ones included.
+        self.totals: Dict[str, int] = {
+            "degradations": 0, "breaker_events": 0, "warnings": 0,
+        }
 
     # -- recording ---------------------------------------------------------
+
+    def _push(self, ring: str, entry) -> None:
+        """Append to a ring and count it; the caller holds the lock."""
+        getattr(self, ring).append(entry)
+        self.totals[ring] += 1
 
     def record_request(self, route: str) -> None:
         with self._lock:
@@ -55,14 +77,12 @@ class ServiceDiagnostics:
     def record_retry(self, model: str, attempt: int, reason: str) -> None:
         with self._lock:
             self.retries += 1
-            self.warnings.append(
-                f"retry {attempt} for {model}: {reason}"
-            )
+            self._push("warnings", f"retry {attempt} for {model}: {reason}")
 
     def record_deadline_timeout(self, where: str) -> None:
         with self._lock:
             self.deadline_timeouts += 1
-            self.warnings.append(f"deadline exceeded in {where}")
+            self._push("warnings", f"deadline exceeded in {where}")
 
     def record_rejection(self, kind: str) -> None:
         """Count one admission-control rejection (``compile-queue``,
@@ -81,8 +101,8 @@ class ServiceDiagnostics:
         """Record one ladder step taken while serving ``model``."""
         record = DegradationRecord(component, from_mode, to_mode, reason)
         with self._lock:
-            self.degradations.append(
-                {"model": model, **record.to_payload()}
+            self._push(
+                "degradations", {"model": model, **record.to_payload()}
             )
         return record
 
@@ -92,16 +112,17 @@ class ServiceDiagnostics:
         """Copy a compile's degradation records into the service log."""
         with self._lock:
             for record in records:
-                self.degradations.append(
-                    {"model": model, **record.to_payload()}
+                self._push(
+                    "degradations", {"model": model, **record.to_payload()}
                 )
 
     def record_breaker_event(
         self, model: str, state: str, reason: str
     ) -> None:
         with self._lock:
-            self.breaker_events.append(
-                {"model": model, "state": state, "reason": reason}
+            self._push(
+                "breaker_events",
+                {"model": model, "state": state, "reason": reason},
             )
 
     def record_warm_start(
@@ -121,13 +142,15 @@ class ServiceDiagnostics:
 
     def warn(self, message: str) -> None:
         with self._lock:
-            self.warnings.append(message)
+            self._push("warnings", message)
 
     # -- reading -----------------------------------------------------------
 
     def degradations_for(
         self, model: Optional[str] = None
     ) -> List[Dict[str, str]]:
+        """The retained (most recent) degradations, optionally for one
+        model."""
         with self._lock:
             return [
                 dict(entry)
@@ -151,4 +174,5 @@ class ServiceDiagnostics:
                 "breaker_events": [dict(e) for e in self.breaker_events],
                 "warm_start": dict(self.warm_start),
                 "warnings": list(self.warnings),
+                "totals": dict(self.totals),
             }

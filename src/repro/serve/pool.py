@@ -1,13 +1,12 @@
-"""Per-model inference-engine pools with a two-rung robustness ladder.
+"""Per-model serving state, exactly once, behind an admission gate.
 
-Each ready model owns an :class:`EnginePool`: a fixed set of
-:class:`~repro.runtime.engine.InferenceEngine` instances sharing the
-compiled model and one frozen calibration read-only (the expensive
-state is per-model, not per-engine).  Requests check an engine out,
-run the batch, and check it back in; checkout honours the request
-deadline so a saturated pool times out instead of hanging.  Checking
-engines out is also where the concurrency comes from: an engine is
-single-threaded, the pool hands each request thread its own.
+Each ready model owns an :class:`EnginePool`: **one**
+:class:`~repro.runtime.engine.InferenceEngine` — one frozen
+calibration, one reference executor, one emitted function — shared by
+every request thread (the engine is re-entrant once calibrated), and a
+counting gate that admits at most ``size`` concurrent infers.  The gate
+honours the request deadline, so a saturated pool times out instead of
+hanging.
 
 The robustness ladder, both rungs landing on the per-sample reference
 :class:`~repro.runtime.executor.QuantizedExecutor` under the *same*
@@ -20,7 +19,8 @@ parity contract — and both recorded in the response:
 * ``batched → per-sample``: ``run_batch`` raised (the chaos harness's
   ``engine_exception_mid_batch`` fault, or any real kernel bug tripped
   by one request), so the pool reruns the request through a fresh
-  executor and replaces the engine.
+  executor and replaces the engine with one that has already emitted;
+  requests in flight on the old engine finish on it.
 
 Only if the per-sample path also fails does the request surface an
 error.
@@ -28,7 +28,6 @@ error.
 
 from __future__ import annotations
 
-import queue
 import threading
 from typing import Dict, List, Optional, Sequence
 
@@ -42,7 +41,7 @@ from repro.verify.budget import Deadline
 
 
 class EnginePool:
-    """A bounded pool of engines over one compiled model."""
+    """One shared engine over a compiled model; ``size`` infers at once."""
 
     def __init__(
         self,
@@ -59,50 +58,36 @@ class EnginePool:
         if checkout_timeout_s <= 0:
             raise ValueError("checkout_timeout_s must be positive")
         self.compiled = compiled
+        self.size = size
         self.seed = seed
         self.kernel_mac_limit = kernel_mac_limit
-        #: Checkout bound for requests without a deadline: even then a
+        #: Admission bound for requests without a deadline: even then a
         #: saturated pool must reject, never hang the calling thread.
         self.checkout_timeout_s = checkout_timeout_s
         #: Engines replaced after a batched failure (observability).
         self.rebuilds = 0
-        # Calibrate once on the first engine, then build the rest
-        # *around* the frozen bounds: the constructor threads the
-        # calibration through to the engine's reference executor, which
-        # a bare ``engine.calibration = ...`` assignment would miss.
-        first = InferenceEngine(
+        #: The model's engine (also the chaos harness's seam:
+        #: ``pool.engine.batch_fault_hook``).  Requests read the
+        #: reference once and finish on the engine they started on.
+        self.engine = InferenceEngine(
             compiled, seed=seed, kernel_mac_limit=kernel_mac_limit
         )
-        self.calibration: FrozenCalibration = first.calibrate(
+        self.calibration: FrozenCalibration = self.engine.calibrate(
             list(calibration_feeds or [None])
         )
         #: Emission failures found at startup (pool-level
         #: observability; the same degradation also rides along in
         #: every ``infer`` response served by a degraded engine).
         self.startup_degradations: List[Dict] = []
-        # Emit eagerly so a broken emission is a *startup* fact, not a
-        # surprise on the first request.
-        if first.emitted() is None:
+        # Emit eagerly so a broken emission is a *startup* fact, and no
+        # request ever pays for an emission.
+        if self.engine.emitted() is None:
             self.startup_degradations.append(
-                self._codegen_degradation(first.emission_error)
+                self._codegen_degradation(self.engine.emission_error)
             )
-        self._engines: List[InferenceEngine] = [first]
-        self._engines.extend(
-            self._new_engine() for _ in range(size - 1)
-        )
-        self._idle: "queue.Queue[InferenceEngine]" = queue.Queue()
-        for engine in self._engines:
-            self._idle.put(engine)
+        self._gate = threading.BoundedSemaphore(size)
+        #: Serialises engine replacement.
         self._lock = threading.Lock()
-
-    def _new_engine(self) -> InferenceEngine:
-        """An engine built around the pool's frozen calibration."""
-        return InferenceEngine(
-            self.compiled,
-            self.calibration,
-            seed=self.seed,
-            kernel_mac_limit=self.kernel_mac_limit,
-        )
 
     @staticmethod
     def _codegen_degradation(reason: str) -> Dict:
@@ -113,29 +98,15 @@ class EnginePool:
             "reason": reason,
         }
 
-    @property
-    def size(self) -> int:
-        return len(self._engines)
-
-    @property
-    def idle(self) -> int:
-        return self._idle.qsize()
-
-    def engines(self) -> List[InferenceEngine]:
-        """The pool's engines (chaos harness seam)."""
-        return list(self._engines)
-
     # -- execution ---------------------------------------------------------
 
-    def _checkout(self, deadline: Optional[Deadline]) -> InferenceEngine:
+    def _admit(self, deadline: Optional[Deadline]) -> None:
         timeout = self.checkout_timeout_s
         if deadline is not None:
             timeout = max(deadline.remaining(), 1e-3)
-        try:
-            return self._idle.get(timeout=timeout)
-        except queue.Empty:
+        if not self._gate.acquire(timeout=timeout):
             raise AdmissionError(
-                f"no idle engine in the pool within {timeout:.3f}s",
+                f"no free inference slot in the pool within {timeout:.3f}s",
                 stage="serve",
                 details={
                     "queue": "engine-pool",
@@ -143,7 +114,7 @@ class EnginePool:
                     "timeout_s": round(timeout, 3),
                     "retry_after_s": 0.5,
                 },
-            ) from None
+            )
 
     def infer(
         self,
@@ -159,71 +130,73 @@ class EnginePool:
         """
         if deadline is not None:
             deadline.check("inference-admission")
-        engine = self._checkout(deadline)
-        degradations: List[Dict] = []
-        batch_failed = False
+        self._admit(deadline)
         try:
             if deadline is not None:
                 deadline.check("inference-start")
+            engine = self.engine
             try:
                 outputs = engine.run_batch(list(feeds_list))
-                if engine.emission_error is not None:
-                    # The batch was served correctly, just by the
-                    # interpreter instead of emitted code: a recorded
-                    # degradation, not a failure.
-                    degradations.append(
-                        self._codegen_degradation(engine.emission_error)
-                    )
+            except Exception as exc:  # noqa: BLE001 - ladder boundary
+                step = {
+                    "component": "inference",
+                    "from": "batched",
+                    "to": "per-sample",
+                    "reason": f"{type(exc).__name__}: {exc}",
+                }
+                try:
+                    outputs = self._per_sample(feeds_list, deadline)
+                finally:
+                    # Never keep serving on an engine whose batch run
+                    # raised: its state is suspect, so a persistently
+                    # broken engine would otherwise keep failing.
+                    self._rebuild(engine)
                 return {
                     "outputs": outputs,
-                    "mode": "batched",
-                    "degradations": degradations,
+                    "mode": "per-sample",
+                    "degradations": [step],
                 }
-            except Exception as exc:  # noqa: BLE001 - ladder boundary
-                batch_failed = True
+            degradations = []
+            if engine.emission_error is not None:
+                # The batch was served correctly, just by the
+                # interpreter instead of emitted code: a recorded
+                # degradation, not a failure.
                 degradations.append(
-                    {
-                        "component": "inference",
-                        "from": "batched",
-                        "to": "per-sample",
-                        "reason": f"{type(exc).__name__}: {exc}",
-                    }
+                    self._codegen_degradation(engine.emission_error)
                 )
-            outputs = self._per_sample(feeds_list, deadline)
             return {
                 "outputs": outputs,
-                "mode": "per-sample",
+                "mode": "batched",
                 "degradations": degradations,
             }
         finally:
-            if batch_failed:
-                # Never recirculate an engine whose batch run raised:
-                # its per-engine state is suspect, so a persistently
-                # broken engine would otherwise keep serving failures.
-                engine = self._rebuild(engine)
-            self._idle.put(engine)
+            self._gate.release()
 
-    def _rebuild(self, engine: InferenceEngine) -> InferenceEngine:
-        """A fresh engine to replace one whose batch run raised.
+    def _rebuild(self, failed: InferenceEngine) -> None:
+        """Replace the engine whose batch run raised with a fresh one.
 
-        The replacement shares the frozen calibration (the expensive
-        per-model state), so it is cheap and bit-identical.  If the
-        rebuild itself fails, the old engine is returned rather than
-        shrinking the pool — degraded service beats starved checkouts.
+        The replacement shares the frozen calibration and emits *before*
+        it is published: the failed request is already on the slow
+        rung, and no healthy request ever pays for an emission.
+        Requests in flight on the old engine finish on it.  If the
+        rebuild itself fails the old engine stays — degraded service
+        beats none.
         """
-        try:
-            fresh = self._new_engine()
-        except Exception:  # noqa: BLE001 - keep the pool at full size
-            return engine
         with self._lock:
+            if self.engine is not failed:
+                return  # a concurrent failure already replaced it
             try:
-                index = self._engines.index(engine)
-            except ValueError:
-                index = None
-            if index is not None:
-                self._engines[index] = fresh
+                fresh = InferenceEngine(
+                    self.compiled,
+                    self.calibration,
+                    seed=self.seed,
+                    kernel_mac_limit=self.kernel_mac_limit,
+                )
+                fresh.emitted()
+            except Exception:  # noqa: BLE001 - keep serving
+                return
+            self.engine = fresh
             self.rebuilds += 1
-        return fresh
 
     def _per_sample(
         self,
@@ -232,7 +205,7 @@ class EnginePool:
     ) -> List[Dict[str, np.ndarray]]:
         """The ladder's bottom rung: one fresh executor per sample.
 
-        A fresh executor sidesteps whatever per-engine state the
+        A fresh executor sidesteps whatever engine state the
         batched failure may have corrupted; the shared frozen
         calibration keeps the answers bit-identical to the batched
         path.

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -30,6 +29,7 @@ from repro.cache.fingerprint import schema_hash as machine_schema_hash
 from repro.cache.store import default_cache_dir
 from repro.errors import TuningError
 from repro.machine.description import MachineDescription
+from repro.store import append_lines
 from repro.tune.space import TrialConfig
 
 _MachineArg = Optional[Union[str, "MachineDescription"]]
@@ -181,12 +181,8 @@ class TrialDB:
 
     def append(self, record: TrialRecord) -> None:
         """Persist one record (one line, flushed before returning)."""
-        self.root.mkdir(parents=True, exist_ok=True)
         line = json.dumps(record.to_payload(), sort_keys=True)
-        with open(self.path, "a") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_lines(self.path, [line])
 
     def records(
         self,

@@ -113,7 +113,6 @@ class TestLadder:
         self, compiled, feeds, healthy, broken_emitter
     ):
         pool = _pool(compiled)
-        (engine,) = pool.engines()
         response = pool.infer(feeds)
         assert_outputs_equal(response["outputs"], healthy)
         assert response["mode"] == "batched"
@@ -121,14 +120,14 @@ class TestLadder:
         assert (step["from"], step["to"]) == ("codegen", "interpreter")
         assert "chaos-emit" in step["reason"]
         assert step == pool.startup_degradations[0]
-        assert engine.diagnostics.codegen_batches == 0
+        assert pool.engine.diagnostics.codegen_batches == 0
         assert pool.rebuilds == 0
 
     def test_mid_batch_fault_reruns_per_sample_and_rebuilds(
         self, compiled, feeds, healthy
     ):
         pool = _pool(compiled)
-        (broken,) = pool.engines()
+        broken = pool.engine
 
         def die(node):
             raise RuntimeError("chaos-batch")
@@ -141,7 +140,7 @@ class TestLadder:
         assert (step["from"], step["to"]) == ("batched", "per-sample")
         assert "chaos-batch" in step["reason"]
         assert pool.rebuilds == 1
-        (fresh,) = pool.engines()
+        fresh = pool.engine
         assert fresh is not broken
         # The replacement serves emitted code again.
         again = pool.infer(feeds)

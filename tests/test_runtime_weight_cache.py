@@ -1,14 +1,14 @@
 """Hot-path caching regressions: weight levels and tensor liveness.
 
 Two bugs the codegen work flushed out of the interpreter: weight int8
-levels were re-quantized on every GEMM call, and every engine re-ran
-the liveness pass over the same immutable graph.  These tests pin the
-fixes on both executors — one weight quantization per (executor, node)
-lifetime whether the engine serves emitted code or, degraded, per
-sample; one liveness pass per compiled model.
+levels were re-quantized on every GEMM call, and every pool engine
+re-ran the liveness pass over the same immutable graph.  These tests
+pin the fixes — one weight quantization per (executor, node) lifetime
+whether the engine serves emitted code or, degraded, per sample; one
+liveness pass per emission, and one emission per served model.
 """
 
-import repro.absint.liveness as liveness_mod
+import repro.codegen.emit as emit_mod
 from repro.compiler import compile_model
 from repro.harness import example_feeds
 from repro.runtime import InferenceEngine, QuantizedExecutor
@@ -100,15 +100,16 @@ class TestLivenessSharing:
     def test_pool_engines_share_one_liveness_pass(self, monkeypatch):
         compiled, calibration, feeds = _prepared()
         calls = {"count": 0}
-        original = liveness_mod.tensor_liveness
+        original = emit_mod.tensor_liveness
 
         def counting(graph):
             calls["count"] += 1
             return original(graph)
 
         # Patch *after* compile: the compile-time analysis passes are
-        # allowed their own liveness runs; serving is not.
-        monkeypatch.setattr(liveness_mod, "tensor_liveness", counting)
+        # allowed their own liveness runs; serving gets one per
+        # emission, and a pool emits once whatever its size.
+        monkeypatch.setattr(emit_mod, "tensor_liveness", counting)
         pool = EnginePool(
             compiled,
             size=3,
@@ -116,21 +117,10 @@ class TestLivenessSharing:
                 compiled.graph, count=2, seed=99
             ),
         )
-        # Every engine emits its own code (the first at startup, the
-        # rest on their first request); all of them read the
-        # CompiledModel's one cached liveness.
-        for _ in pool.engines():
+        for _ in range(pool.size):
             assert pool.infer(feeds)["mode"] == "batched"
-        assert all(
-            engine.emitted() is not None for engine in pool.engines()
+        assert pool.engine.diagnostics.codegen_batches == pool.size
+        assert calls["count"] == 1, (
+            "serving a pool must run liveness once (one emission per "
+            f"model), saw {calls['count']} passes"
         )
-        assert calls["count"] <= 1, (
-            "pool engines must share the CompiledModel's cached "
-            f"liveness, saw {calls['count']} passes"
-        )
-
-    def test_compiled_model_caches_liveness_object(self):
-        compiled, _, _ = _prepared()
-        first = compiled.liveness()
-        second = compiled.liveness()
-        assert first is second

@@ -332,8 +332,7 @@ class TestInferencePaths:
                 fails["left"] -= 1
                 raise RuntimeError("mid-batch fault")
 
-        for engine in entry.pool.engines():
-            engine.batch_fault_hook = die_once
+        entry.pool.engine.batch_fault_hook = die_once
         degraded = service.infer("m1", batch=2, seed=9)
         assert degraded["mode"] == "per-sample"
         assert degraded["outputs"] == baseline["outputs"]
@@ -352,6 +351,39 @@ class TestInferencePaths:
         with pytest.raises(ModelNotReadyError) as excinfo:
             service.infer("broken")
         assert excinfo.value.details["state"] == "failed"
+
+    def test_event_records_stay_bounded_over_a_long_life(
+        self, service, graph_path, broken_emitter
+    ):
+        # A latched emission failure degrades every response and a
+        # tiny deadline is client-drivable: neither may grow the
+        # server (or its /status payload) per request.
+        from repro.serve.diagnostics import EVENT_RING
+
+        _register(service, graph_path)
+        diag = service.diagnostics
+
+        def container_lengths():
+            return {
+                name: len(value)
+                for name, value in vars(diag).items()
+                if hasattr(value, "__len__")
+            }
+
+        def drive(count):
+            for _ in range(count):
+                assert service.infer("m1", batch=1)["degradations"]
+                with pytest.raises(DeadlineExceeded):
+                    service.infer("m1", batch=1, deadline_s=1e-6)
+
+        drive(EVENT_RING)
+        full = container_lengths()
+        drive(1000 - EVENT_RING)
+        assert container_lengths() == full
+        assert len(diag.degradations_for("m1")) == EVENT_RING
+        totals = diag.to_payload()["totals"]
+        assert totals["degradations"] == 1000
+        assert totals["warnings"] == 1000
 
 
 class TestWarmStart:
@@ -535,9 +567,8 @@ class TestEnginePool:
         pool = self._pool(compiled, size=2)
         feeds = example_feeds(compiled.graph, count=2, seed=17)
         first = pool.infer(feeds)
-        # FIFO checkout: this request runs on the *second* engine,
-        # which must share the frozen calibration all the way into its
-        # executors — not just as an attribute on the engine.
+        # Every slot of the gate leads to the one shared engine: the
+        # second request is served by the same emitted code.
         second = pool.infer(feeds)
         assert first["mode"] == "batched"
         assert second["mode"] == "batched"
@@ -545,7 +576,7 @@ class TestEnginePool:
 
     def test_saturated_pool_times_out_without_deadline(self, compiled):
         pool = self._pool(compiled, size=1, checkout_timeout_s=0.05)
-        engine = pool._checkout(None)  # drain the only engine
+        pool._admit(None)  # hold the only slot of the gate
         from repro.harness import example_feeds
 
         feeds = example_feeds(compiled.graph, count=1, seed=1)
@@ -553,14 +584,20 @@ class TestEnginePool:
         with pytest.raises(AdmissionError) as excinfo:
             pool.infer(feeds)
         assert time.monotonic() - started < 5.0
-        assert excinfo.value.details["timeout_s"] == 0.05
-        pool._idle.put(engine)
+        assert excinfo.value.details == {
+            "queue": "engine-pool",
+            "pool_size": 1,
+            "timeout_s": 0.05,
+            "retry_after_s": 0.5,
+        }
+        pool._gate.release()
+        assert pool.infer(feeds)["mode"] == "batched"
 
     def test_failed_engine_is_rebuilt_not_recirculated(self, compiled):
         from repro.harness import example_feeds
 
         pool = self._pool(compiled, size=1)
-        broken = pool.engines()[0]
+        broken = pool.engine
 
         def always_die(node):
             raise RuntimeError("persistently broken engine")
@@ -570,7 +607,7 @@ class TestEnginePool:
         degraded = pool.infer(feeds)
         assert degraded["mode"] == "per-sample"
         assert pool.rebuilds == 1
-        assert pool.engines()[0] is not broken
+        assert pool.engine is not broken
         # The fresh engine serves batched again — a persistently
         # broken engine must not keep circulating.
         batched = pool.infer(feeds)

@@ -91,6 +91,20 @@ class TestTrialDB:
         assert len(db.records()) == 1
         assert db.skipped_lines == 2
 
+    def test_append_after_a_torn_tail_loses_only_the_torn_record(
+        self, tmp_path
+    ):
+        # A kill -9 mid-append leaves a final line without its newline;
+        # the next append must not be glued onto it.
+        db = TrialDB(tmp_path)
+        db.append(_record(cycles=1.0, trial=0))
+        db.append(_record(cycles=2.0, trial=1))
+        with open(db.path, "r+b") as handle:
+            handle.truncate(db.path.stat().st_size - 40)
+        db.append(_record(cycles=3.0, trial=2))
+        assert [r.cycles for r in db.records()] == [1.0, 3.0]
+        assert db.skipped_lines == 1
+
     def test_stale_schema_invalidated(self, tmp_path):
         db = TrialDB(tmp_path)
         db.append(_record(schema="0" * 64))
