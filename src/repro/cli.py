@@ -166,6 +166,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--plans", action="store_true", help="print per-operator plans"
     )
     compile_p.add_argument(
+        "--json", action="store_true",
+        help="print the summary and the compile diagnostics as JSON",
+    )
+    compile_p.add_argument(
         "--cache-dir",
         help="persist packed schedules to this directory "
         "(default: $REPRO_CACHE_DIR if set, else memory-only)",
@@ -711,6 +715,26 @@ def _cmd_compile(args) -> int:
     dispatch = (
         compiled.graph.operator_count() * harness.GCD2_DISPATCH_US / 1e3
     )
+    if args.json:
+        import json
+
+        payload = {
+            "model": args.model,
+            "machine": compiled.machine.name,
+            "operators": compiled.graph.operator_count(),
+            "selection": {
+                "solver": compiled.selection.solver,
+                "solve_seconds": compiled.selection.solve_seconds,
+                "agg_cost_cycles": compiled.selection.cost,
+                "expansions": compiled.selection.expansions,
+            },
+            "latency_ms": compiled.latency_ms + dispatch,
+            "total_cycles": compiled.total_cycles,
+            "total_packets": compiled.total_packets,
+            "diagnostics": compiled.diagnostics.to_dict(),
+        }
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return 0
     print(f"{args.model}: {compiled.graph.operator_count()} operators "
           f"after graph passes (machine {compiled.machine.name})")
     print(f"selection: {compiled.selection.solver} "

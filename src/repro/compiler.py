@@ -528,13 +528,16 @@ class GCD2Compiler:
                 options, label, deadline=self._deadline
             )
             try:
-                return run(budget)
+                result = run(budget)
             except BudgetExceeded as exc:
                 if options.strict or index + 1 == len(rungs):
                     raise
                 diagnostics.record_fallback(
                     label, rungs[index + 1][0], exc.message
                 )
+            else:
+                diagnostics.selection_expansions = result.expansions
+                return result
         raise ReproError(
             "selection ladder exhausted"
         )  # pragma: no cover - last rung is budget-free

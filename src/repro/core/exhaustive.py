@@ -6,19 +6,20 @@ search time exceeding 80 hours at 25 operators; a branch-and-bound
 variant (``prune=True``) keeps the same optimal answer practical for
 the partition-sized subproblems GCD2 actually solves.
 
-Implementation notes: all node/edge costs are tabulated up front so the
-search loop is pure table lookups; pruning uses a greedy warm start
-plus an admissible suffix lower bound (the sum of each remaining node's
-cheapest marginal), so subtrees that cannot beat the incumbent are cut
-without losing optimality.
+Implementation notes: all node/edge costs are tabulated up front as
+plain float lists so the search loop is pure list lookups; pruning uses
+a greedy warm start plus an admissible suffix lower bound — per
+remaining node, its cheapest marginal *with every in-search edge at its
+cheapest producer plan* — so subtrees that cannot beat the incumbent
+are cut without losing optimality.  The search is an explicit-stack
+loop: its depth is the number of searched nodes, which has no business
+being bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SelectionError
 from repro.core.cost import CostModel
@@ -50,69 +51,91 @@ class _SearchTables:
         # plus (optionally) the best-case transform toward external
         # consumers that have not been assigned yet — the lookahead
         # that keeps partition-boundary choices from being myopic.
-        self.node_costs: List[np.ndarray] = []
+        self.node_costs: List[List[float]] = []
         # edge_costs[i]: list of (pred_index, matrix[pred_plan][plan]).
-        self.edge_costs: List[List[Tuple[int, np.ndarray]]] = []
+        self.edge_costs: List[List[Tuple[int, List[List[float]]]]] = []
         for i, node in enumerate(order):
             plans = self.plan_sets[i]
-            base = np.zeros(len(plans))
-            for p, plan in enumerate(plans):
+            preds = graph.predecessors(node.node_id)
+            fixed_preds = [
+                (pred, fixed[pred.node_id])
+                for pred in preds
+                if pred.node_id in fixed
+            ]
+            external = (
+                [
+                    consumer
+                    for consumer in graph.successors(node.node_id)
+                    if consumer.node_id not in index_of
+                    and consumer.node_id not in fixed
+                ]
+                if lookahead_consumers
+                else []
+            )
+            base: List[float] = []
+            for plan in plans:
                 cost = model.node_cost(graph, node, plan)
                 if include_boundary:
                     cost += model.boundary_cost(graph, node, plan)
-                for pred in graph.predecessors(node.node_id):
-                    pred_plan = fixed.get(pred.node_id)
-                    if pred_plan is not None:
-                        cost += model.edge_cost(
-                            graph, pred, pred_plan, node, plan
-                        )
-                if lookahead_consumers:
-                    for consumer in graph.successors(node.node_id):
-                        if (
-                            consumer.node_id in index_of
-                            or consumer.node_id in fixed
-                        ):
-                            continue
-                        cost += min(
-                            model.edge_cost(
-                                graph, node, plan, consumer, cplan
-                            )
-                            for cplan in model.plans(consumer)
-                        )
-                base[p] = cost
+                for pred, pred_plan in fixed_preds:
+                    cost += model.edge_cost(
+                        graph, pred, pred_plan, node, plan
+                    )
+                for consumer in external:
+                    cost += min(
+                        model.edge_cost(graph, node, plan, consumer, cplan)
+                        for cplan in model.plans(consumer)
+                    )
+                base.append(cost)
             self.node_costs.append(base)
 
-            edges: List[Tuple[int, np.ndarray]] = []
-            for pred in graph.predecessors(node.node_id):
+            edges: List[Tuple[int, List[List[float]]]] = []
+            for pred in preds:
                 j = index_of.get(pred.node_id)
                 if j is None:
                     continue
-                pred_plans = self.plan_sets[j]
-                matrix = np.array(
-                    [
+                edges.append(
+                    (
+                        j,
                         [
-                            model.edge_cost(graph, pred, pp, node, plan)
-                            for plan in plans
-                        ]
-                        for pp in pred_plans
-                    ]
+                            [
+                                model.edge_cost(graph, pred, pp, node, plan)
+                                for plan in plans
+                            ]
+                            for pp in self.plan_sets[j]
+                        ],
+                    )
                 )
-                edges.append((j, matrix))
             self.edge_costs.append(edges)
 
-        # Admissible suffix lower bound: cheapest marginal per node
-        # (edge costs are non-negative and omitted).
-        mins = [costs.min() for costs in self.node_costs]
-        self.suffix_min = np.zeros(len(order) + 1)
+        # Lower bound per node: the cheapest marginal it can have
+        # whatever its in-search producers chose — each edge term
+        # replaced by its minimum over producer plans, added in the
+        # order ``marginal`` adds the real ones.  IEEE addition is
+        # monotone in each operand, so ``node_min[i] <= marginal(i, p,
+        # choices)`` holds exactly, not merely up to rounding.
+        self.node_min: List[float] = []
+        for costs, edges in zip(self.node_costs, self.edge_costs):
+            cheapest = list(costs)
+            for _, matrix in edges:
+                for p, column in enumerate(zip(*matrix)):
+                    cheapest[p] += min(column)
+            self.node_min.append(min(cheapest))
+        # suffix_min[i]: bound on everything from node i on.  (Summed
+        # right to left while the search accumulates left to right, so
+        # against a real total it is admissible up to the rounding of
+        # one summation order versus the other — a few ulps, as with
+        # any float branch-and-bound.)
+        self.suffix_min: List[float] = [0.0] * (len(order) + 1)
         for i in range(len(order) - 1, -1, -1):
-            self.suffix_min[i] = self.suffix_min[i + 1] + mins[i]
+            self.suffix_min[i] = self.suffix_min[i + 1] + self.node_min[i]
 
     def marginal(self, i: int, p: int, choices: List[int]) -> float:
         """Cost of giving node ``i`` plan ``p`` given earlier choices."""
         cost = self.node_costs[i][p]
         for j, matrix in self.edge_costs[i]:
-            cost += matrix[choices[j], p]
-        return float(cost)
+            cost += matrix[choices[j]][p]
+        return cost
 
     def greedy(self) -> Tuple[List[int], float]:
         """Warm-start assignment: locally cheapest marginal per node."""
@@ -205,38 +228,54 @@ def solve_exhaustive(
     else:
         best_choices, best_cost = None, float("inf")
 
-    choices: List[int] = []
-    expansions = 0
     n_nodes = len(order)
+    plan_counts = [len(plans) for plans in tables.plan_sets]
+    node_costs = tables.node_costs
+    edge_costs = tables.edge_costs
+    suffix_min = tables.suffix_min
+    limit = float("inf") if max_expansions is None else max_expansions
+    expansions = 0
 
-    def dfs(index: int, cost_so_far: float) -> None:
-        nonlocal best_choices, best_cost, expansions
-        if index == n_nodes:
-            if cost_so_far < best_cost:
-                best_cost = cost_so_far
+    # Depth-first over (node index, plan index), one stack slot per
+    # node: the plan chosen, the next plan to try, the cost of the
+    # prefix above it.  Same visit order, same ``>=`` prune and same
+    # strict-``<`` incumbent rule whatever the bound's strength, so a
+    # tighter bound changes how much is visited, never what is found.
+    choices = [0] * n_nodes
+    next_plan = [0] * n_nodes
+    prefix_cost = [0.0] * n_nodes
+    depth = -1 if prune and suffix_min[0] >= best_cost else 0
+    while depth >= 0:
+        p = next_plan[depth]
+        if p == plan_counts[depth]:
+            depth -= 1
+            continue
+        next_plan[depth] = p + 1
+        expansions += 1
+        if expansions > limit:
+            raise SelectionError(
+                f"exhaustive search exceeded {max_expansions} expansions"
+            )
+        if budget is not None:
+            budget.charge()
+        # tables.marginal(depth, p, choices), inlined for the hot loop.
+        marginal = node_costs[depth][p]
+        for j, matrix in edge_costs[depth]:
+            marginal += matrix[choices[j]][p]
+        cost = prefix_cost[depth] + marginal
+        if prune and cost + suffix_min[depth + 1] >= best_cost:
+            continue
+        choices[depth] = p
+        depth += 1
+        if depth == n_nodes:
+            if cost < best_cost:
+                best_cost = cost
                 best_choices = list(choices)
-            return
-        if (
-            prune
-            and cost_so_far + tables.suffix_min[index] >= best_cost
-        ):
-            return
-        for p in range(len(tables.plan_sets[index])):
-            expansions += 1
-            if max_expansions is not None and expansions > max_expansions:
-                raise SelectionError(
-                    f"exhaustive search exceeded {max_expansions} expansions"
-                )
-            if budget is not None:
-                budget.charge()
-            cost = cost_so_far + tables.marginal(index, p, choices)
-            if prune and cost + tables.suffix_min[index + 1] >= best_cost:
-                continue
-            choices.append(p)
-            dfs(index + 1, cost)
-            choices.pop()
+            depth -= 1
+            continue
+        prefix_cost[depth] = cost
+        next_plan[depth] = 0
 
-    dfs(0, 0.0)
     if best_choices is None:  # pragma: no cover - defensive
         raise SelectionError("exhaustive search found no assignment")
 
@@ -244,4 +283,6 @@ def solve_exhaustive(
     for i, (node, choice) in enumerate(zip(order, best_choices)):
         assignment[node.node_id] = tables.plan_sets[i][choice]
     elapsed = time.perf_counter() - start
-    return SelectionResult(assignment, best_cost, "exhaustive", elapsed)
+    return SelectionResult(
+        assignment, best_cost, "exhaustive", elapsed, expansions
+    )

@@ -19,7 +19,11 @@ from repro.core.exhaustive import solve_exhaustive
 from repro.core.chain_dp import is_in_tree, solve_chain
 from repro.core.partition import partition
 from repro.core.plans import ExecutionPlan
-from repro.core.selection_common import SelectionResult, aggregate_cost
+from repro.core.selection_common import (
+    CostTable,
+    SelectionResult,
+    aggregate_cost,
+)
 from repro.graph.graph import ComputationalGraph
 from repro.verify.budget import SelectionBudget
 
@@ -62,11 +66,16 @@ def solve_gcd2(
             time.perf_counter() - start,
         )
 
+    # One memo of the cost model for the whole solve: the partitioner's
+    # profitability test, every partition's search tables and the
+    # closing Agg_Cost all read the same Equation 1 terms.
+    table = CostTable(model)
     assignment: Dict[int, ExecutionPlan] = {}
-    for part in partition(graph, model, max_operators=max_operators):
+    expansions = 0
+    for part in partition(graph, table, max_operators=max_operators):
         sub = solve_exhaustive(
             graph,
-            model,
+            table,
             node_ids=part,
             fixed=assignment,
             prune=True,
@@ -75,11 +84,12 @@ def solve_gcd2(
             budget=budget,
         )
         assignment.update(sub.assignment)
+        expansions += sub.expansions
 
     cost = aggregate_cost(
-        graph, model, assignment, include_boundary=include_boundary
+        graph, table, assignment, include_boundary=include_boundary
     )
     elapsed = time.perf_counter() - start
     return SelectionResult(
-        assignment, cost, f"gcd2({max_operators})", elapsed
+        assignment, cost, f"gcd2({max_operators})", elapsed, expansions
     )

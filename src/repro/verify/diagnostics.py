@@ -70,6 +70,9 @@ class CompilationDiagnostics:
     cache_memory_hits: int = 0
     cache_disk_hits: int = 0
     cache_misses: int = 0
+    #: Search-tree nodes the selection solver that produced the plans
+    #: tried — a deterministic effort count, unlike the stage seconds.
+    selection_expansions: int = 0
     parallel: Dict[str, float] = field(default_factory=dict)
     tuning: Dict[str, object] = field(default_factory=dict)
 
@@ -180,6 +183,24 @@ class CompilationDiagnostics:
             self.verifier_seconds.get(stage, 0.0) + seconds
         )
 
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-ready form (``repro compile --json``)."""
+        return {
+            "warnings": list(self.warnings),
+            "fallbacks": [str(record) for record in self.fallbacks],
+            "degradations": [
+                record.to_payload() for record in self.degradations
+            ],
+            "stage_seconds": dict(self.stage_seconds),
+            "verifier_seconds": dict(self.verifier_seconds),
+            "selection_expansions": self.selection_expansions,
+            "cache_memory_hits": self.cache_memory_hits,
+            "cache_disk_hits": self.cache_disk_hits,
+            "cache_misses": self.cache_misses,
+            "parallel": dict(self.parallel),
+            "tuning": dict(self.tuning),
+        }
+
     def summary_lines(self) -> List[str]:
         """Human-readable digest for the CLI's ``verify`` command."""
         lines: List[str] = []
@@ -195,6 +216,11 @@ class CompilationDiagnostics:
             # Checkers with no compile stage of their own (e.g. lint).
             if stage not in self.stage_seconds:
                 lines.append(f"verifier {stage}: {seconds * 1e3:.1f} ms")
+        if self.selection_expansions:
+            lines.append(
+                f"selection search: {self.selection_expansions} "
+                f"expansion(s)"
+            )
         if self.cache_lookups:
             lines.append(
                 f"schedule cache: {self.cache_memory_hits} memory + "

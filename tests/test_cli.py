@@ -27,6 +27,17 @@ class TestCompile:
         out = capsys.readouterr().out
         assert "column" in out  # a layout name in the plan dump
 
+    def test_json_flag_reports_search_effort(self, capsys):
+        assert main(["compile", "mobilenet_v3", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["model"] == "mobilenet_v3"
+        assert payload["selection"]["solver"] == "gcd2(13)"
+        assert payload["selection"]["expansions"] > 0
+        assert payload["diagnostics"]["selection_expansions"] == (
+            payload["selection"]["expansions"]
+        )
+        assert payload["diagnostics"]["fallbacks"] == []
+
     def test_alternative_policies(self, capsys):
         assert main([
             "compile", "wdsr_b",

@@ -133,6 +133,45 @@ class TestCompilation:
         assert compiled.profile.macs > 0
         assert 0 < compiled.profile.slot_occupancy <= 1
 
+    def test_diagnostics_record_search_effort(self):
+        compiled = compile_model(
+            small_cnn(), CompilerOptions(graph_passes=False)
+        )
+        diag = compiled.diagnostics
+        assert diag.selection_expansions == compiled.selection.expansions > 0
+        assert diag.to_dict()["selection_expansions"] == (
+            diag.selection_expansions
+        )
+        assert (
+            f"selection search: {diag.selection_expansions} expansion(s)"
+            in diag.summary_lines()
+        )
+        # Effort is a count, not a wall time: it repeats exactly.
+        again = compile_model(
+            small_cnn(), CompilerOptions(graph_passes=False)
+        )
+        assert again.diagnostics.selection_expansions == (
+            diag.selection_expansions
+        )
+
+    def test_solvers_that_do_not_search_report_no_expansions(self):
+        compiled = compile_model(
+            small_cnn(), CompilerOptions(selection="local")
+        )
+        assert compiled.diagnostics.selection_expansions == 0
+        assert not any(
+            line.startswith("selection search")
+            for line in compiled.diagnostics.summary_lines()
+        )
+
+    def test_diagnostics_to_dict_is_json_ready(self):
+        import json
+
+        payload = compile_model(small_cnn()).diagnostics.to_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert payload["fallbacks"] == []
+        assert set(payload["stage_seconds"]) >= {"selection", "packing"}
+
 
 class TestAblations:
     def test_local_selection_never_cheaper_than_gcd2(self):
