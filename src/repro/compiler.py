@@ -64,7 +64,7 @@ from repro.machine.description import (
 from repro.machine.packet import Packet
 from repro.machine.pipeline import PipelineModel, schedule_cycles
 from repro.machine.profiler import ExecutionProfile, Profiler
-from repro.core.packing import PACKERS, configured_packer
+from repro.core.packing import PACKERS, configured_packer, packing_work
 from repro.core.packing.sda import SdaConfig
 from repro.verify import (
     CompilationDiagnostics,
@@ -808,9 +808,13 @@ class GCD2Compiler:
         if diagnostics is not None:
             diagnostics.record_cache_lookup(tier)
         if entry is None:
-            packets = configured_packer(
-                packer_name, sda_config, self.machine
-            )(kernel.body)
+            with packing_work() as work:
+                packets = configured_packer(
+                    packer_name, sda_config, self.machine
+                )(kernel.body)
+            if diagnostics is not None:
+                diagnostics.packing_bodies += 1
+                diagnostics.packing_work += work.total
             entry = ScheduleEntry(
                 body=list(kernel.body),
                 packets=packets,

@@ -2,6 +2,7 @@
 
 from typing import Callable, Dict
 
+from repro.isa.dependencies import PackingWork, packing_work
 from repro.core.packing.cfg import BasicBlock, build_cfg
 from repro.core.packing.idg import InstructionDependencyGraph, build_idg
 from repro.core.packing.sda import (
@@ -76,6 +77,8 @@ __all__ = [
     "InstructionDependencyGraph",
     "build_idg",
     "PACKERS",
+    "PackingWork",
+    "packing_work",
     "SdaConfig",
     "configured_packer",
     "pack_best",

@@ -65,7 +65,7 @@ def validate_schedule(
     """
     position: Dict[int, int] = {}
     for index, packet in enumerate(packets):
-        if not packet_is_legal(packet.instructions):
+        if not packet_is_legal(packet.instructions, packet.machine):
             raise SchedulingError(f"packet {index} violates constraints")
         for inst in packet:
             if inst.uid in position:

@@ -31,8 +31,52 @@ and a consumer of the result of such an addition".
 from __future__ import annotations
 
 import enum
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
+from typing import Iterator, Optional
 
 from repro.isa.instructions import Instruction
+
+
+@dataclass
+class PackingWork:
+    """Exact effort counters of the packers run under :func:`packing_work`.
+
+    ``classifications`` counts dependency classifications of an
+    instruction pair, ``evaluations`` counts candidates tested against
+    a partial packet.  Both repeat exactly from run to run, so they
+    gate packing effort where wall time cannot
+    (``tests/test_packing_golden.py``).
+    """
+
+    classifications: int = 0
+    evaluations: int = 0
+
+    @property
+    def total(self) -> int:
+        return self.classifications + self.evaluations
+
+
+_ACTIVE_WORK: ContextVar[Optional[PackingWork]] = ContextVar(
+    "packing_work", default=None
+)
+
+
+@contextmanager
+def packing_work() -> Iterator[PackingWork]:
+    """Count the packing effort spent inside the ``with`` block.
+
+    The counter is context-local (one per thread or task), because the
+    registry's packers are plain ``body -> packets`` callables with no
+    channel for a second result.
+    """
+    work = PackingWork()
+    token = _ACTIVE_WORK.set(work)
+    try:
+        yield work
+    finally:
+        _ACTIVE_WORK.reset(token)
 
 
 class DependencyKind(enum.Enum):
@@ -87,6 +131,9 @@ def classify_dependency(first: Instruction, second: Instruction) -> DependencyKi
     DependencyKind
         ``HARD``, ``SOFT`` or ``NONE``.
     """
+    work = _ACTIVE_WORK.get()
+    if work is not None:
+        work.classifications += 1
     if first.uid == second.uid:
         return DependencyKind.NONE
 

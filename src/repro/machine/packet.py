@@ -22,7 +22,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import PacketError
-from repro.isa.dependencies import DependencyKind, classify_dependency
+from repro.isa.dependencies import (
+    _ACTIVE_WORK,
+    DependencyKind,
+    classify_dependency,
+)
 from repro.isa.instructions import Instruction, Opcode, ResourceClass
 from repro.machine.description import (
     HEXAGON_698,
@@ -90,6 +94,9 @@ def fits_with(
     unlike :func:`packet_is_legal` it assumes ``packed`` is already legal
     and only validates the marginal addition.
     """
+    work = _ACTIVE_WORK.get()
+    if work is not None:
+        work.evaluations += 1
     desc = resolve_machine(machine)
     packed = list(packed)
     if len(packed) + 1 > desc.max_packet_slots:

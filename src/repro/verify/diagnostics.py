@@ -73,6 +73,11 @@ class CompilationDiagnostics:
     #: Search-tree nodes the selection solver that produced the plans
     #: tried — a deterministic effort count, unlike the stage seconds.
     selection_expansions: int = 0
+    #: Kernel bodies this process ran a packer on (cache misses), and
+    #: the pair classifications + candidate evaluations that took —
+    #: the packing stage's deterministic effort count.
+    packing_bodies: int = 0
+    packing_work: int = 0
     parallel: Dict[str, float] = field(default_factory=dict)
     tuning: Dict[str, object] = field(default_factory=dict)
 
@@ -194,6 +199,8 @@ class CompilationDiagnostics:
             "stage_seconds": dict(self.stage_seconds),
             "verifier_seconds": dict(self.verifier_seconds),
             "selection_expansions": self.selection_expansions,
+            "packing_bodies": self.packing_bodies,
+            "packing_work": self.packing_work,
             "cache_memory_hits": self.cache_memory_hits,
             "cache_disk_hits": self.cache_disk_hits,
             "cache_misses": self.cache_misses,
@@ -220,6 +227,11 @@ class CompilationDiagnostics:
             lines.append(
                 f"selection search: {self.selection_expansions} "
                 f"expansion(s)"
+            )
+        if self.packing_bodies:
+            lines.append(
+                f"packing: {self.packing_bodies} bodies, "
+                f"{self.packing_work} evaluations"
             )
         if self.cache_lookups:
             lines.append(
