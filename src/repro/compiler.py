@@ -360,6 +360,11 @@ class GCD2Compiler:
             disk_dir=self.options.cache_dir,
             machine=self.machine,
         )
+        #: Whether the configured packer *is* the pinned default-SDA
+        #: quality reference, so both requests share one fingerprint.
+        self._packs_reference = self.options.packing == "sda" and (
+            self.options.sda_config in (None, SdaConfig())
+        )
 
     # -- public API ----------------------------------------------------------
 
@@ -680,11 +685,8 @@ class GCD2Compiler:
             for packer_name, sda_config in sorted(
                 specs, key=lambda spec: spec[0]
             ):
-                fingerprint = kernel_fingerprint(
-                    kernel.body,
-                    packer_name,
-                    sda_config=sda_config,
-                    unroll_config=self.options.unroll_config,
+                fingerprint = self._fingerprint(
+                    kernel, packer_name, sda_config
                 )
                 if fingerprint in pending:
                     continue
@@ -733,8 +735,11 @@ class GCD2Compiler:
         kernel: LoweredKernel,
         diagnostics: Optional[CompilationDiagnostics] = None,
     ) -> CompiledNode:
+        fingerprint = self._fingerprint(
+            kernel, self.options.packing, self.options.sda_config
+        )
         packets, per_iter, schedule_body = self._pack(
-            kernel, diagnostics=diagnostics
+            kernel, diagnostics=diagnostics, fingerprint=fingerprint
         )
         # Kernel cost: the analytic model gives the compute volume at
         # reference (SDA + adaptive) quality; the measured schedule
@@ -751,7 +756,10 @@ class GCD2Compiler:
         )
         compute, memory = model.node_cost_detail(graph, node, plan)
         _, reference_cycles, _ = self._pack(
-            kernel, packer_name="sda", diagnostics=diagnostics
+            kernel,
+            packer_name="sda",
+            diagnostics=diagnostics,
+            fingerprint=fingerprint if self._packs_reference else None,
         )
         quality = per_iter / max(1, reference_cycles)
         quality /= self.options.kernel_efficiency
@@ -770,11 +778,25 @@ class GCD2Compiler:
             cycles=cycles,
         )
 
+    def _fingerprint(
+        self,
+        kernel: LoweredKernel,
+        packer_name: str,
+        sda_config: Optional[SdaConfig],
+    ) -> str:
+        return kernel_fingerprint(
+            kernel.body,
+            packer_name,
+            sda_config=sda_config,
+            unroll_config=self.options.unroll_config,
+        )
+
     def _pack(
         self,
         kernel: LoweredKernel,
         packer_name: Optional[str] = None,
         diagnostics: Optional[CompilationDiagnostics] = None,
+        fingerprint: Optional[str] = None,
     ) -> Tuple[List[Packet], int, List["Instruction"]]:
         """Pack (or fetch the cached schedule for) a kernel body.
 
@@ -791,19 +813,16 @@ class GCD2Compiler:
         under the options' (possibly tuned) :class:`SdaConfig`; an
         explicit name requests a reference schedule and stays pinned to
         the default tuning, so kernel quality is always measured
-        against the same yardstick.
+        against the same yardstick.  ``fingerprint`` is the request's
+        content address when the caller has computed it already.
         """
         if packer_name is None:
             packer_name = self.options.packing
             sda_config = self.options.sda_config
         else:
             sda_config = None
-        fingerprint = kernel_fingerprint(
-            kernel.body,
-            packer_name,
-            sda_config=sda_config,
-            unroll_config=self.options.unroll_config,
-        )
+        if fingerprint is None:
+            fingerprint = self._fingerprint(kernel, packer_name, sda_config)
         entry, tier = self.schedule_cache.lookup(fingerprint)
         if diagnostics is not None:
             diagnostics.record_cache_lookup(tier)

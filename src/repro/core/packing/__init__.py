@@ -2,9 +2,13 @@
 
 from typing import Callable, Dict
 
-from repro.isa.dependencies import PackingWork, packing_work
 from repro.core.packing.cfg import BasicBlock, build_cfg
-from repro.core.packing.idg import InstructionDependencyGraph, build_idg
+from repro.core.packing.idg import (
+    InstructionDependencyGraph,
+    PackingWork,
+    build_idg,
+    packing_work,
+)
 from repro.core.packing.sda import (
     SdaConfig,
     pack_best,

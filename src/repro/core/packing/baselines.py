@@ -15,14 +15,17 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
 from repro.isa.instructions import Instruction
 from repro.machine.description import MachineDescription, resolve_machine
-from repro.machine.packet import Packet, fits_with
-from repro.core.packing.cfg import build_cfg
-from repro.core.packing.idg import build_idg
-from repro.core.packing.sda import SdaConfig, pack_instructions
+from repro.machine.packet import Packet
+from repro.core.packing.idg import InstructionDependencyGraph
+from repro.core.packing.sda import (
+    SdaConfig,
+    block_graphs,
+    pack_instructions,
+)
 
 
 def pack_soft_to_hard(
@@ -53,77 +56,61 @@ def pack_list_schedule(
     instructions: Sequence[Instruction],
     *,
     machine: Optional[MachineDescription] = None,
+    graphs: Optional[Sequence[InstructionDependencyGraph]] = None,
 ) -> List[Packet]:
     """Top-down critical-path list scheduling (soft treated as hard).
 
     Priority is the longest latency path from the instruction to the
     exit — "instructions with the longest latency path to the exit have
     priority" — and dependent instructions never share a packet.
+    ``graphs`` are the blocks' dependency graphs when the caller has
+    them already.
     """
     machine = resolve_machine(machine)
+    if graphs is None:
+        graphs = block_graphs(instructions)
     packets: List[Packet] = []
-    for block in build_cfg(instructions):
-        packets.extend(_list_schedule_block(block.instructions, machine))
+    for idg in graphs:
+        packets.extend(_list_schedule_block(idg, machine))
     return packets
 
 
 def _list_schedule_block(
-    instructions: Sequence[Instruction],
-    machine: Optional[MachineDescription] = None,
+    idg: InstructionDependencyGraph, machine: MachineDescription
 ) -> List[Packet]:
-    if not instructions:
-        return []
-    machine = resolve_machine(machine)
-    idg = build_idg(instructions)
-
+    insts, succ = idg.instructions, idg.succ
     # Longest latency path to exit, computed in reverse program order.
-    height: Dict[int, int] = {}
-    for inst in reversed(list(instructions)):
-        succs = idg.successors(inst)
-        height[inst.uid] = machine.latency(inst.opcode) + max(
-            (height[s.uid] for s in succs), default=0
+    height = [0] * len(insts)
+    for i in reversed(range(len(insts))):
+        height[i] = machine.latency(insts[i].opcode) + max(
+            (height[s] for s in succ[i]), default=0
         )
-
-    scheduled: Set[int] = set()
+    # Predecessors not yet in a finished packet.  An instruction is
+    # ready at zero, so no two ready instructions depend on each other
+    # and a packet member never depends on another member in any way.
+    waiting = [len(preds) for preds in idg.pred]
+    ready = [i for i in range(len(insts)) if not waiting[i]]
     packets: List[Packet] = []
-    remaining = list(instructions)
-    while remaining:
-        ready = [
-            inst
-            for inst in remaining
-            if all(
-                p.uid in scheduled for p in idg.predecessors(inst)
-            )
-        ]
-        ready.sort(key=lambda i: (-height[i.uid], i.uid))
+    while ready:
+        ready.sort(key=lambda i: (-height[i], insts[i].uid))
         packet = Packet([], machine)
-        placed: List[Instruction] = []
-        for inst in ready:
+        placed: List[int] = []
+        for i in ready:
             if len(packet) >= machine.max_packet_slots:
                 break
-            # All dependencies are treated as hard: a packet member may
-            # not depend on another member in any way.
-            if _depends_on_any(idg, inst, placed):
-                continue
-            if fits_with(inst, packet.instructions, machine):
-                packet.add(inst)
-                placed.append(inst)
+            idg.work.evaluations += 1
+            if packet.can_add(insts[i], idg.kind):
+                idg.work.evaluations += 1
+                packet.add(insts[i], idg.kind)
+                placed.append(i)
         if not placed:  # pragma: no cover - defensive
-            packet.add(ready[0])
+            packet.add(insts[ready[0]], idg.kind)
             placed.append(ready[0])
-        for inst in placed:
-            scheduled.add(inst.uid)
-            remaining.remove(inst)
+        ready = [i for i in ready if i not in placed]
+        for i in placed:
+            for s in succ[i]:
+                waiting[s] -= 1
+                if not waiting[s]:
+                    ready.append(s)
         packets.append(packet)
     return packets
-
-
-def _depends_on_any(idg, inst: Instruction, placed: List[Instruction]) -> bool:
-    from repro.isa.dependencies import DependencyKind
-
-    for other in placed:
-        if idg.edge_kind(other, inst) is not DependencyKind.NONE:
-            return True
-        if idg.edge_kind(inst, other) is not DependencyKind.NONE:
-            return True
-    return False

@@ -31,52 +31,8 @@ and a consumer of the result of such an addition".
 from __future__ import annotations
 
 import enum
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass
-from typing import Iterator, Optional
 
-from repro.isa.instructions import Instruction
-
-
-@dataclass
-class PackingWork:
-    """Exact effort counters of the packers run under :func:`packing_work`.
-
-    ``classifications`` counts dependency classifications of an
-    instruction pair, ``evaluations`` counts candidates tested against
-    a partial packet.  Both repeat exactly from run to run, so they
-    gate packing effort where wall time cannot
-    (``tests/test_packing_golden.py``).
-    """
-
-    classifications: int = 0
-    evaluations: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.classifications + self.evaluations
-
-
-_ACTIVE_WORK: ContextVar[Optional[PackingWork]] = ContextVar(
-    "packing_work", default=None
-)
-
-
-@contextmanager
-def packing_work() -> Iterator[PackingWork]:
-    """Count the packing effort spent inside the ``with`` block.
-
-    The counter is context-local (one per thread or task), because the
-    registry's packers are plain ``body -> packets`` callables with no
-    channel for a second result.
-    """
-    work = PackingWork()
-    token = _ACTIVE_WORK.set(work)
-    try:
-        yield work
-    finally:
-        _ACTIVE_WORK.reset(token)
+from repro.isa.instructions import Instruction, ResourceClass
 
 
 class DependencyKind(enum.Enum):
@@ -92,34 +48,32 @@ class DependencyKind(enum.Enum):
         return self is DependencyKind.HARD
 
 
-def _raw_registers(first: Instruction, second: Instruction) -> frozenset:
-    """Registers written by ``first`` and read by ``second``.
+def _interlocked(first: Instruction, second: Instruction) -> bool:
+    """Whether hardware interlocks cover a RAW from ``first`` to ``second``.
 
-    Reads include implicit operands (``Instruction.read_registers``):
-    the accumulator of a ``vrmpy`` accumulate form is read even when an
-    emitter left it out of ``srcs``.  Note that an implicit read of a
-    destination always coincides with a WAW on the same register, so
-    this widening never *relaxes* a classification — it only keeps
-    liveness-style consumers of this module sound.
+    The architecture's soft cases: read-after-load and
+    store-after-write (Figure 4), and consuming a scalar ALU result
+    (Section IV-C's worked example).  Correct in one packet, at the
+    price of a stall.
     """
-    return frozenset(first.dests) & frozenset(second.read_registers)
-
-
-def _war_registers(first: Instruction, second: Instruction) -> frozenset:
-    """Registers read by ``first`` and written by ``second``."""
-    return frozenset(first.read_registers) & frozenset(second.dests)
-
-
-def _waw_registers(first: Instruction, second: Instruction) -> frozenset:
-    """Registers written by both instructions."""
-    return frozenset(first.dests) & frozenset(second.dests)
+    return (
+        first.spec.is_load
+        or second.spec.is_store
+        or first.spec.resource is ResourceClass.SALU
+    )
 
 
 def classify_dependency(first: Instruction, second: Instruction) -> DependencyKind:
     """Classify the dependency from ``first`` (earlier) to ``second`` (later).
 
     The strongest applicable class wins: if the pair has both a soft RAW
-    and a WAW on different registers, the WAW makes it hard.
+    and a WAW on different registers, the WAW makes it hard.  Reads
+    include implicit operands (``Instruction.read_set``): the
+    accumulator of a ``vrmpy`` accumulate form is read even when an
+    emitter left it out of ``srcs``.  An implicit read of a destination
+    always coincides with a WAW on the same register, so this widening
+    never *relaxes* a classification — it only keeps liveness-style
+    consumers of this module sound.
 
     Parameters
     ----------
@@ -131,40 +85,20 @@ def classify_dependency(first: Instruction, second: Instruction) -> DependencyKi
     DependencyKind
         ``HARD``, ``SOFT`` or ``NONE``.
     """
-    work = _ACTIVE_WORK.get()
-    if work is not None:
-        work.classifications += 1
     if first.uid == second.uid:
         return DependencyKind.NONE
-
-    kind = DependencyKind.NONE
-
-    if _waw_registers(first, second):
+    writes = first.write_set
+    if not writes.isdisjoint(second.write_set):  # WAW
         return DependencyKind.HARD
-
-    if _raw_registers(first, second):
-        from repro.isa.instructions import ResourceClass
-
-        if (
-            first.spec.is_load
-            or second.spec.is_store
-            or first.spec.resource is ResourceClass.SALU
-        ):
-            # The architecture's interlocked soft cases: read-after-load
-            # and store-after-write (Figure 4), and consuming a scalar
-            # ALU result (Section IV-C's worked example).  Correct in
-            # one packet, at the price of a stall.
-            kind = DependencyKind.SOFT
-        else:
-            return DependencyKind.HARD
-
-    if _war_registers(first, second):
+    if not writes.isdisjoint(second.read_set):  # RAW
+        if _interlocked(first, second):
+            return DependencyKind.SOFT
+        return DependencyKind.HARD
+    if not first.read_set.isdisjoint(second.write_set):
         # WAR inside a packet is always tolerated: all reads happen in
         # the read stage before any write lands.
-        if kind is DependencyKind.NONE:
-            kind = DependencyKind.SOFT
-
-    return kind
+        return DependencyKind.SOFT
+    return DependencyKind.NONE
 
 
 def has_dependency(first: Instruction, second: Instruction) -> bool:
@@ -181,22 +115,14 @@ def stalling_raw_registers(
     a store-after-write, or the consumption of a scalar-ALU result
     makes the consumer's execute stage wait one cycle when the pair
     shares a packet.  Reads are taken from
-    :attr:`Instruction.read_registers`, so a RAW edge running through
+    :attr:`Instruction.read_set`, so a RAW edge running through
     an *implicit* accumulator operand (``vrmpy``/``vtmpy`` accumulate
     forms) stalls exactly like an explicit one — ``srcs`` alone would
     undercount it.  Every timing consumer (the pipeline model, the
     lint stall estimator) must derive stalls from this one rule so
     their cycle counts agree even on corrupted packets.
     """
-    raw = _raw_registers(first, second)
-    if not raw:
-        return frozenset()
-    from repro.isa.instructions import ResourceClass
-
-    if (
-        first.spec.is_load
-        or second.spec.is_store
-        or first.spec.resource is ResourceClass.SALU
-    ):
+    raw = first.write_set & second.read_set
+    if raw and _interlocked(first, second):
         return raw
     return frozenset()

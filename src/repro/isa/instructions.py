@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import IsaError
@@ -193,12 +194,16 @@ def spec_for(opcode: Opcode) -> InstrSpec:
 _instruction_ids = itertools.count()
 
 
-@dataclass(eq=False)  # identity equality/hash: uid is the real identity
+@dataclass(frozen=True, eq=False)  # identity equality/hash: uid is it
 class Instruction:
     """A single (pseudo-)assembly instruction.
 
     Register operands are referred to by *name* (e.g. ``"v0"``, ``"r3"``);
     the functional simulator binds names to values at execution time.
+    Instances are immutable, which is what lets the operand views
+    below (``spec``, ``read_registers``, ``read_set``, ``write_set``)
+    be derived once, on first use; they are not fields, so they never
+    reach a serialized schedule.
 
     Attributes
     ----------
@@ -229,11 +234,14 @@ class Instruction:
     uid: int = field(default_factory=lambda: next(_instruction_ids))
 
     def __post_init__(self) -> None:
-        self.dests = tuple(self.dests)
-        self.srcs = tuple(self.srcs)
-        self.imms = tuple(self.imms)
+        if type(self.dests) is not tuple:
+            object.__setattr__(self, "dests", tuple(self.dests))
+        if type(self.srcs) is not tuple:
+            object.__setattr__(self, "srcs", tuple(self.srcs))
+        if type(self.imms) is not tuple:
+            object.__setattr__(self, "imms", tuple(self.imms))
 
-    @property
+    @cached_property
     def spec(self) -> InstrSpec:
         """Static properties of this instruction's opcode."""
         return spec_for(self.opcode)
@@ -248,7 +256,7 @@ class Instruction:
         """Functional unit occupied within a packet."""
         return self.spec.resource
 
-    @property
+    @cached_property
     def read_registers(self) -> Tuple[str, ...]:
         """All registers the instruction reads, implicit operands included.
 
@@ -262,6 +270,16 @@ class Instruction:
             if implicit:
                 return self.srcs + implicit
         return self.srcs
+
+    @cached_property
+    def read_set(self) -> frozenset:
+        """``read_registers`` as a set, for dependency classification."""
+        return frozenset(self.read_registers)
+
+    @cached_property
+    def write_set(self) -> frozenset:
+        """``dests`` as a set, for dependency classification."""
+        return frozenset(self.dests)
 
     @property
     def written_registers(self) -> Tuple[str, ...]:

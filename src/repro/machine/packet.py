@@ -19,14 +19,19 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.errors import PacketError
-from repro.isa.dependencies import (
-    _ACTIVE_WORK,
-    DependencyKind,
-    classify_dependency,
-)
+from repro.isa.dependencies import DependencyKind, classify_dependency
 from repro.isa.instructions import Instruction, Opcode, ResourceClass
 from repro.machine.description import (
     HEXAGON_698,
@@ -47,6 +52,9 @@ RESOURCE_LIMITS: Dict[ResourceClass, int] = dict(
 MAX_STORES_PER_PACKET = HEXAGON_698.max_stores_per_packet
 
 _MachineArg = Optional[Union[str, MachineDescription]]
+#: ``classify_dependency`` or a memo of it (a dependency graph's
+#: ``kind``): the legality checks ask, they do not care who answers.
+_Classifier = Callable[[Instruction, Instruction], DependencyKind]
 
 
 def _resource_counts(instructions: Iterable[Instruction]) -> Counter:
@@ -87,6 +95,7 @@ def fits_with(
     candidate: Instruction,
     packed: Iterable[Instruction],
     machine: _MachineArg = None,
+    classify: _Classifier = classify_dependency,
 ) -> bool:
     """Whether ``candidate`` can join the partially built ``packed`` set.
 
@@ -94,24 +103,21 @@ def fits_with(
     unlike :func:`packet_is_legal` it assumes ``packed`` is already legal
     and only validates the marginal addition.
     """
-    work = _ACTIVE_WORK.get()
-    if work is not None:
-        work.evaluations += 1
     desc = resolve_machine(machine)
     packed = list(packed)
     if len(packed) + 1 > desc.max_packet_slots:
         return False
-    counts = _resource_counts(packed)
-    if counts[candidate.resource] + 1 > desc.limit(candidate.resource):
+    unit = candidate.resource
+    if sum(inst.resource is unit for inst in packed) >= desc.limit(unit):
         return False
     if candidate.spec.is_store:
         stores = sum(1 for inst in packed if inst.spec.is_store)
         if stores + 1 > desc.max_stores_per_packet:
             return False
     for other in packed:
-        if classify_dependency(candidate, other) is DependencyKind.HARD:
+        if classify(candidate, other) is DependencyKind.HARD:
             return False
-        if classify_dependency(other, candidate) is DependencyKind.HARD:
+        if classify(other, candidate) is DependencyKind.HARD:
             return False
     return True
 
@@ -139,18 +145,28 @@ class Packet:
                 f"illegal packet contents: {self.instructions!r}"
             )
 
-    def add(self, instruction: Instruction) -> None:
+    def add(
+        self,
+        instruction: Instruction,
+        classify: _Classifier = classify_dependency,
+    ) -> None:
         """Append ``instruction``, raising :class:`PacketError` if illegal."""
-        if not fits_with(instruction, self.instructions, self.machine):
+        if not self.can_add(instruction, classify):
             raise PacketError(
                 f"instruction {instruction!r} does not fit into packet "
                 f"{self.instructions!r}"
             )
         self.instructions.append(instruction)
 
-    def can_add(self, instruction: Instruction) -> bool:
+    def can_add(
+        self,
+        instruction: Instruction,
+        classify: _Classifier = classify_dependency,
+    ) -> bool:
         """Non-raising variant of :meth:`add`'s legality check."""
-        return fits_with(instruction, self.instructions, self.machine)
+        return fits_with(
+            instruction, self.instructions, self.machine, classify
+        )
 
     def __len__(self) -> int:
         return len(self.instructions)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.isa.instructions import Instruction, ResourceClass
 from repro.machine.description import (
@@ -137,6 +137,9 @@ class Profiler:
     ) -> None:
         self.machine = resolve_machine(machine)
         self.profile = ExecutionProfile(machine=self.machine)
+        # id(packets) -> (packets, its unrepeated profile): operators
+        # sharing a kernel body share one schedule object, priced once.
+        self._units: Dict[int, Tuple[Sequence[Packet], ExecutionProfile]] = {}
 
     def observe_schedule(
         self, packets: Sequence[Packet], repeats: int = 1
@@ -145,23 +148,30 @@ class Profiler:
 
         Loads/stores are counted from the vector memory instructions in
         the schedule (each moves one full vector register of the
-        profiled machine's width).
+        profiled machine's width).  A schedule observed again — the
+        same list object, which must not change in between — is not
+        priced again, only scaled and merged.
         """
-        unit = ExecutionProfile(machine=self.machine)
-        for packet in packets:
-            unit.packets += 1
-            unit.cycles += packet_cycles(packet, self.machine)
-            for inst in packet:
-                unit.issued_instructions += 1
-                unit.macs += self.machine.macs(inst.opcode)
-                if inst.spec.is_load:
-                    unit.bytes_loaded += _transfer_bytes(
-                        inst, self.machine
-                    )
-                if inst.spec.is_store:
-                    unit.bytes_stored += _transfer_bytes(
-                        inst, self.machine
-                    )
+        known = self._units.get(id(packets))
+        if known is not None and known[0] is packets:
+            unit = known[1]
+        else:
+            unit = ExecutionProfile(machine=self.machine)
+            for packet in packets:
+                unit.packets += 1
+                unit.cycles += packet_cycles(packet, self.machine)
+                for inst in packet:
+                    unit.issued_instructions += 1
+                    unit.macs += self.machine.macs(inst.opcode)
+                    if inst.spec.is_load:
+                        unit.bytes_loaded += _transfer_bytes(
+                            inst, self.machine
+                        )
+                    if inst.spec.is_store:
+                        unit.bytes_stored += _transfer_bytes(
+                            inst, self.machine
+                        )
+            self._units[id(packets)] = (packets, unit)
         unit = unit.scaled(repeats)
         self.profile = self.profile.merge(unit)
         return unit

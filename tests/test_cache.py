@@ -120,6 +120,22 @@ class TestScheduleEntryRoundTrip:
         assert [len(p) for p in rebuilt.packets] == \
             [len(p) for p in entry.packets]
 
+    def test_round_trip_is_byte_identical_after_packing(self):
+        # Packing and pricing touch every instruction's derived operand
+        # views (spec, read/write sets); none of that may reach the
+        # on-disk form, nor a worker's pickle change what it rebuilds.
+        import json
+        import pickle
+
+        entry = _entry(emit_matmul_body(Opcode.VRMPY, 2, 2,
+                                        include_epilogue=True))
+        assert all("read_set" in vars(inst) for inst in entry.body)
+        first = json.dumps(entry.to_payload("fp"), sort_keys=True)
+        rebuilt = ScheduleEntry.from_payload(json.loads(first))
+        assert json.dumps(rebuilt.to_payload("fp"), sort_keys=True) == first
+        shipped = pickle.loads(pickle.dumps(entry))
+        assert json.dumps(shipped.to_payload("fp"), sort_keys=True) == first
+
     def test_out_of_creation_order_body_round_trips(self):
         # Regression: lowered bodies are not always assembled in
         # instruction-creation order, and Packet.soft_pairs orients

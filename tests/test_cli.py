@@ -37,6 +37,8 @@ class TestCompile:
             payload["selection"]["expansions"]
         )
         assert payload["diagnostics"]["fallbacks"] == []
+        assert payload["diagnostics"]["packing_bodies"] > 0
+        assert payload["diagnostics"]["packing_work"] > 0
 
     def test_alternative_policies(self, capsys):
         assert main([

@@ -154,6 +154,27 @@ class TestCompilation:
             diag.selection_expansions
         )
 
+    def test_diagnostics_record_packing_effort(self, tmp_path):
+        options = CompilerOptions(cache_dir=str(tmp_path))
+        diag = compile_model(small_cnn(), options).diagnostics
+        assert diag.packing_bodies == diag.cache_misses > 0
+        assert diag.packing_work > 0
+        payload = diag.to_dict()
+        assert payload["packing_bodies"] == diag.packing_bodies
+        assert payload["packing_work"] == diag.packing_work
+        assert (
+            f"packing: {diag.packing_bodies} bodies, "
+            f"{diag.packing_work} evaluations"
+        ) in diag.summary_lines()
+        # A count, not a wall time; and a warm cache packs nothing.
+        fresh = compile_model(small_cnn()).diagnostics
+        assert fresh.packing_work == diag.packing_work
+        warm = compile_model(small_cnn(), options).diagnostics
+        assert warm.packing_bodies == warm.packing_work == 0
+        assert not any(
+            line.startswith("packing:") for line in warm.summary_lines()
+        )
+
     def test_solvers_that_do_not_search_report_no_expansions(self):
         compiled = compile_model(
             small_cnn(), CompilerOptions(selection="local")

@@ -91,8 +91,9 @@ class TestErrors:
             encode_instruction(inst, {}, more_in_packet=False)
 
     def test_unencodable_lane_width_rejected(self):
-        inst = Instruction(Opcode.VADD, dests=("a",), srcs=("b", "c"))
-        inst.lane_bytes = 3
+        inst = Instruction(
+            Opcode.VADD, dests=("a",), srcs=("b", "c"), lane_bytes=3
+        )
         with pytest.raises(IsaError):
             encode_instruction(inst, {}, more_in_packet=False)
 

@@ -1,5 +1,7 @@
 """Unit tests for the instruction definitions."""
 
+from dataclasses import FrozenInstanceError, fields, replace
+
 import pytest
 
 from repro.errors import IsaError
@@ -94,6 +96,40 @@ class TestInstruction:
 
     def test_default_lane_bytes(self):
         assert Instruction(Opcode.VADD).lane_bytes == 1
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("dests", ("v9",)),
+            ("srcs", ("v9",)),
+            ("imms", (7,)),
+            ("opcode", Opcode.VSUB),
+            ("lane_bytes", 2),
+        ],
+    )
+    def test_operands_are_immutable(self, field, value):
+        # The operand views (spec, read_registers, read/write sets) are
+        # derived once; nothing may change what they were derived from.
+        inst = Instruction(Opcode.VADD, dests=("v0",), srcs=("v1", "v2"))
+        with pytest.raises(FrozenInstanceError):
+            setattr(inst, field, value)
+
+    def test_operand_views_are_not_fields(self):
+        # Derived views live beside the fields, never among them: the
+        # schedule cache serializes an instruction field by field.
+        inst = Instruction(
+            Opcode.VRMPY, dests=("v0",), srcs=("v1",), imms=(1, 2, 3, 4)
+        )
+        assert inst.read_registers == ("v1", "v0")  # implicit accumulator
+        assert inst.read_set == {"v0", "v1"} and inst.write_set == {"v0"}
+        assert inst.spec is spec_for(Opcode.VRMPY)
+        assert [f.name for f in fields(inst)] == [
+            "opcode", "dests", "srcs", "imms", "comment", "lane_bytes",
+            "uid",
+        ]
+        clone = replace(inst, comment="copy")
+        assert clone.read_registers == ("v1", "v0")
+        assert clone.uid == inst.uid and clone is not inst
 
 
 class TestVectorInstruction:

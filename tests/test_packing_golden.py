@@ -31,11 +31,13 @@ import os
 import random
 from typing import Dict, List, Sequence
 
+import numpy as np
 import pytest
 
 from repro.compiler import CompiledModel, CompilerOptions, compile_model
 from repro.core.packing import (
     SdaConfig,
+    pack_best,
     pack_block,
     pack_list_schedule,
     packing_work,
@@ -278,6 +280,57 @@ def test_random_blocks_match_golden(machine, label):
     assert entry["packets"] == golden["packets"]
     assert entry["cycles"] == golden["cycles"]
     assert entry["work"] <= golden["work"]
+
+
+# -- scaling, on the counter rather than the clock --------------------
+
+
+def straight_line_block(length: int) -> List[Instruction]:
+    """A long unrolled streaming kernel body: one basic block."""
+    block: List[Instruction] = []
+    step = 0
+    while len(block) < length:
+        k, acc = step % 8, f"acc{step % 4}"
+        block += [
+            Instruction(Opcode.VLOAD, dests=(f"va{k}",), srcs=("r_in",),
+                        imms=(step * 256,)),
+            Instruction(Opcode.VLOAD, dests=(f"vb{k}",), srcs=("r_in",),
+                        imms=(step * 256 + 128,)),
+            Instruction(Opcode.VRMPY, dests=(acc,), srcs=(f"va{k}",),
+                        imms=(1, 2, 3, 4)),
+            Instruction(Opcode.VADD, dests=(f"vs{k}",),
+                        srcs=(f"vb{k}", acc)),
+            Instruction(Opcode.VASR, dests=(f"vq{k}",),
+                        srcs=(f"vs{k}", f"vs{k}"), imms=(7,)),
+            Instruction(Opcode.VSTORE, srcs=(f"vq{k}", "r_out"),
+                        imms=(step * 128,)),
+            Instruction(Opcode.ADD, dests=("r_count",),
+                        srcs=("r_count",), imms=(1,)),
+        ]
+        step += 1
+    return block[:length]
+
+
+def test_work_grows_at_most_quadratically():
+    # Doubling a block at most ~quadruples the packing work: the pair
+    # classification is the only quadratic term (the packer this
+    # replaced also re-derived the critical path per packet and
+    # rescanned every instruction per slot, ~n^2.4 in wall time).
+    lengths = (200, 400, 800)
+    works = []
+    for length in lengths:
+        with packing_work() as work:
+            pack_best(straight_line_block(length))
+        works.append(work.total)
+    exponent = np.polyfit(np.log(lengths), np.log(works), 1)[0]
+    assert exponent <= 2.2, (works, exponent)
+
+
+@pytest.mark.parametrize("machine", machine_names())
+def test_long_block_packs_without_recursion(machine):
+    block = straight_line_block(800)
+    packets = pack_best(block, machine=resolve_machine(machine))
+    validate_schedule(packets, block)
 
 
 def _write(name: str, payload: Dict) -> None:

@@ -6,7 +6,7 @@ from repro.core.packing.cfg import BasicBlock, build_cfg, kernel_block
 from repro.core.packing.evaluate import validate_schedule
 from repro.core.packing.idg import build_idg
 from repro.errors import SchedulingError
-from repro.isa.dependencies import DependencyKind
+from repro.isa.dependencies import DependencyKind, classify_dependency
 from repro.isa.instructions import Instruction, Opcode
 from repro.machine.packet import Packet
 from tests.conftest import stream_program
@@ -73,22 +73,27 @@ class TestIdg:
         for earlier, later in zip(path, path[1:]):
             assert later in idg.successors(earlier)
 
-    def test_removal_shrinks_remaining(self):
-        program = stream_program()
-        idg = build_idg(program)
-        idg.remove(program[0])
-        assert len(idg) == len(program) - 1
-        assert program[0] not in idg
-        # Removal is idempotent.
-        idg.remove(program[0])
-        assert len(idg) == len(program) - 1
-
-    def test_critical_path_ignores_removed(self):
+    def test_critical_path_ends_at_first_costliest_instruction(self):
         program = stream_program()
         idg = build_idg(program)
         tail = idg.critical_path()[-1]
-        idg.remove(tail)
-        assert tail not in idg.critical_path()
+        costliest = max(idg.path_cost)
+        assert program.index(tail) == idg.path_cost.index(costliest)
+        assert idg.successors(tail) == {}
+
+    def test_kind_answers_both_directions_once(self):
+        # Program order is the edge; the reverse direction (which the
+        # packet legality rule also asks about) is classified on first
+        # use and remembered.
+        program = stream_program(operands=2)
+        idg = build_idg(program)
+        load0, add = program[0], program[2]
+        assert idg.kind(load0, add) is classify_dependency(load0, add)
+        before = idg.work.classifications
+        assert idg.kind(add, load0) is classify_dependency(add, load0)
+        assert idg.work.classifications == before + 1
+        idg.kind(add, load0)
+        assert idg.work.classifications == before + 1
 
 
 class TestValidateSchedule:

@@ -17,7 +17,12 @@ from repro.core.packing.baselines import (
     pack_soft_to_none,
 )
 from repro.core.packing.evaluate import schedule_summary, validate_schedule
-from repro.core.packing.sda import SdaConfig, pack_best, pack_instructions
+from repro.core.packing.sda import (
+    SdaConfig,
+    pack_best,
+    pack_block,
+    pack_instructions,
+)
 from repro.isa.instructions import Instruction, Opcode
 from repro.machine.pipeline import schedule_cycles
 from tests.conftest import stream_program
@@ -181,11 +186,14 @@ class TestSdaConfig:
 
 
 class TestSelectInstruction:
-    """Determinism and efficiency of Equation 4's candidate selection."""
+    """Determinism and efficiency of Equation 4's candidate selection,
+    observed through ``pack_block`` — the one place it lives."""
 
     def _tied_candidates(self):
         # Three independent VADDs: identical opcode/latency, no
-        # dependencies, so every Equation 4 score ties exactly.
+        # dependencies, so every Equation 4 score ties exactly.  The
+        # Hexagon-698 issues two VALU operations per packet, so the
+        # seed takes exactly one of the other two along.
         a = Instruction(Opcode.VADD, dests=("v0",), srcs=("v1", "v2"))
         b = Instruction(Opcode.VADD, dests=("v3",), srcs=("v4", "v5"))
         seed = Instruction(Opcode.VADD, dests=("v6",), srcs=("v7", "v8"))
@@ -194,37 +202,21 @@ class TestSelectInstruction:
     def test_ties_break_to_first_candidate(self):
         # Regression: `score >= best_score` kept the *last* tied
         # candidate, so schedules depended on candidate ordering.
-        from repro.core.packing.idg import build_idg
-        from repro.core.packing.sda import _select_instruction
-        from repro.machine.packet import Packet
-
-        a, b, seed = self._tied_candidates()
-        idg = build_idg([a, b, seed])
-        packet = Packet([seed])
-        chosen = _select_instruction(
-            idg, [a, b], packet, {seed.uid}, SdaConfig()
-        )
-        assert chosen is a
+        seed, a, b = self._tied_candidates()
+        packets = pack_block([seed, a, b])  # seed: first of equal paths
+        assert [p.instructions for p in packets] == [[b], [seed, a]]
 
     def test_tie_break_is_input_order_stable(self):
-        from repro.core.packing.idg import build_idg
-        from repro.core.packing.sda import _select_instruction
-        from repro.machine.packet import Packet
-
-        a, b, seed = self._tied_candidates()
-        idg = build_idg([a, b, seed])
-        packet = Packet([seed])
-        chosen = _select_instruction(
-            idg, [b, a], packet, {seed.uid}, SdaConfig()
-        )
-        assert chosen is b  # first-best over the given candidate list
+        seed, a, b = self._tied_candidates()
+        packets = pack_block([seed, b, a])
+        # First-best over the candidates in program order.
+        assert [p.instructions for p in packets] == [[a], [seed, b]]
 
     def test_stalls_evaluated_once_per_candidate(self, monkeypatch):
         # Regression: the stall count was computed twice per candidate
-        # (once filtering, once scoring).
+        # (once filtering, once scoring).  Now each candidate x member
+        # pair is looked at once, when the later of the two arrives.
         from repro.core.packing import sda as sda_mod
-        from repro.core.packing.idg import build_idg
-        from repro.machine.packet import Packet
 
         load = Instruction(
             Opcode.VLOAD, dests=("v0",), srcs=("r0",), imms=(0,)
@@ -235,22 +227,21 @@ class TestSelectInstruction:
         other = Instruction(
             Opcode.VADD, dests=("v3",), srcs=("v4", "v5")
         )
-        idg = build_idg([load, consumer, other])
-        packet = Packet([consumer])
         calls = []
-        original = sda_mod._stalling_soft_pairs
+        original = sda_mod.stalling_raw_registers
 
-        def counting(idg_arg, inst, packet_arg):
-            calls.append(inst.uid)
-            return original(idg_arg, inst, packet_arg)
+        def counting(first, second):
+            calls.append((first.uid, second.uid))
+            return original(first, second)
 
-        monkeypatch.setattr(
-            sda_mod, "_stalling_soft_pairs", counting
-        )
-        sda_mod._select_instruction(
-            idg, [load, other], packet, {consumer.uid}, SdaConfig()
-        )
-        assert sorted(calls) == sorted([load.uid, other.uid])
+        monkeypatch.setattr(sda_mod, "stalling_raw_registers", counting)
+        packets = pack_block([load, consumer, other])
+        # The consumer seeds; the stall-free VADD is preferred, then
+        # the load fills the packet at the price of its stall.
+        assert [p.instructions for p in packets] == [
+            [consumer, other, load]
+        ]
+        assert calls == [(load.uid, consumer.uid)]
 
 
 class TestSdaConfigValidation:
