@@ -1,14 +1,12 @@
 """Compilation-throughput layer: content-addressed schedule caching.
 
-Three pieces, consumed by :class:`~repro.compiler.GCD2Compiler`:
+Two pieces, consumed by :class:`~repro.compiler.GCD2Compiler`:
 
 * :mod:`repro.cache.fingerprint` — total content fingerprints for
   (kernel body, packer, tuning) triples plus the machine-model schema
   hash that versions every persisted entry;
 * :mod:`repro.cache.store` — the two-tier cache: bounded in-memory LRU
-  over an optional on-disk JSON store whose entries re-verify on load;
-* :mod:`repro.cache.parallel` — process-pool packing of unique kernel
-  bodies with a deterministic fingerprint-keyed merge.
+  over an optional on-disk JSON store whose entries re-verify on load.
 """
 
 from repro.cache.fingerprint import (
@@ -18,7 +16,6 @@ from repro.cache.fingerprint import (
     kernel_fingerprint,
     schema_hash,
 )
-from repro.cache.parallel import ParallelReport, pack_parallel
 from repro.cache.store import (
     CacheStats,
     DiskStore,
@@ -34,7 +31,6 @@ __all__ = [
     "CACHE_SCHEMA_VERSION",
     "CacheStats",
     "DiskStore",
-    "ParallelReport",
     "ScheduleCache",
     "ScheduleEntry",
     "TIER_DISK",
@@ -44,6 +40,5 @@ __all__ = [
     "default_cache_dir",
     "instruction_identity",
     "kernel_fingerprint",
-    "pack_parallel",
     "schema_hash",
 ]

@@ -33,14 +33,6 @@ Commands
     execution (``verify_engine_parity``) and print
     emit-time/fingerprint/node statistics; ``--dump-source`` prints the
     generated Python.
-``bench compile MODEL``
-    Measure compiler throughput (cold / warm-disk-cache / parallel
-    compiles) for one zoo model or ``all``; ``--json`` writes the
-    rows to ``BENCH_compiler_throughput.json``.
-``bench infer MODEL``
-    Measure inference throughput (per-request calibration / frozen
-    calibration / emitted-code engine) for one zoo model;
-    ``--json`` writes the rows to ``BENCH_inference_throughput.json``.
 ``tune MODEL``
     Search compiler configurations (SDA cost weights, unroll seeds,
     partition budget) against simulated cycles; ``--json`` writes the
@@ -173,10 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         help="persist packed schedules to this directory "
         "(default: $REPRO_CACHE_DIR if set, else memory-only)",
-    )
-    compile_p.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for packing unique kernel bodies",
     )
     compile_p.add_argument(
         "--machine",
@@ -486,71 +474,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the emitted Python source",
     )
 
-    bench_p = sub.add_parser(
-        "bench", help="compiler performance benchmarks"
-    )
-    bench_sub = bench_p.add_subparsers(dest="bench_command", required=True)
-    bench_compile_p = bench_sub.add_parser(
-        "compile",
-        help="time cold / warm-cache / parallel compiles of a model",
-    )
-    bench_compile_p.add_argument(
-        "model",
-        help="zoo model name, or 'all' for the whole zoo",
-    )
-    bench_compile_p.add_argument(
-        "--json", action="store_true",
-        help="write the rows as JSON (see --output)",
-    )
-    bench_compile_p.add_argument(
-        "--output", default="BENCH_compiler_throughput.json",
-        help="JSON output path (default: BENCH_compiler_throughput.json)",
-    )
-    bench_compile_p.add_argument(
-        "--jobs", type=int, default=4,
-        help="worker processes for the parallel row (default: 4)",
-    )
-    bench_compile_p.add_argument(
-        "--cache-dir",
-        help="disk cache directory for the cold/warm rows "
-        "(default: a fresh temporary directory)",
-    )
-    bench_compile_p.add_argument(
-        "--machine",
-        help="registered machine description to compile for, or "
-        "'all' for a cross-target table "
-        "(default: hexagon698; see 'repro machines list')",
-    )
-    bench_infer_p = bench_sub.add_parser(
-        "infer",
-        help="time per-request-calibration / frozen / emitted inference",
-    )
-    bench_infer_p.add_argument("model", help="zoo model name")
-    bench_infer_p.add_argument(
-        "--json", action="store_true",
-        help="write the rows as JSON (see --output)",
-    )
-    bench_infer_p.add_argument(
-        "--output", default="BENCH_inference_throughput.json",
-        help="JSON output path "
-        "(default: BENCH_inference_throughput.json)",
-    )
-    bench_infer_p.add_argument(
-        "--requests", type=int, default=8,
-        help="requests per mode (default: 8)",
-    )
-    bench_infer_p.add_argument(
-        "--kernel-mac-limit", type=int, default=0,
-        help="per-GEMM MAC budget for the instruction kernels; larger "
-        "products use the bit-identical BLAS path (default: 0, "
-        "always BLAS)",
-    )
-    bench_infer_p.add_argument(
-        "--machine",
-        help="registered machine description to compile for "
-        "(default: hexagon698; see 'repro machines list')",
-    )
-
     serve_p = sub.add_parser(
         "serve",
         help="run the fault-tolerant compile-and-serve HTTP service",
@@ -707,7 +630,6 @@ def _cmd_compile(args) -> int:
         max_operators=args.max_operators,
         other_opts=not args.no_other_opts,
         cache_dir=_cli_cache_dir(args),
-        jobs=args.jobs,
         machine=_cli_machine(args),
     )
     graph = _resolve_graph(args.model)
@@ -951,122 +873,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _bench_compile_model(
-    name: str, cache_root: str, jobs: int, machine=None
-) -> List[dict]:
-    """Cold / warm / parallel timing rows for one model."""
-    import os
-    import time
-
-    graph = _resolve_graph(name)
-    rows: List[dict] = []
-    cold_dir = os.path.join(cache_root, "serial")
-    parallel_dir = os.path.join(cache_root, "parallel")
-
-    def run(mode: str, options: CompilerOptions) -> "CompiledModel":
-        start = time.perf_counter()
-        compiled = GCD2Compiler(options).compile(graph)
-        seconds = time.perf_counter() - start
-        diag = compiled.diagnostics
-        rows.append(
-            {
-                "model": name,
-                "mode": mode,
-                "machine": compiled.machine.name,
-                "seconds": round(seconds, 6),
-                "jobs": options.jobs,
-                "total_cycles": compiled.total_cycles,
-                "total_packets": compiled.total_packets,
-                "cache": {
-                    "memory_hits": diag.cache_memory_hits,
-                    "disk_hits": diag.cache_disk_hits,
-                    "misses": diag.cache_misses,
-                },
-            }
-        )
-        return compiled
-
-    cold = run(
-        "cold", CompilerOptions(cache_dir=cold_dir, machine=machine)
-    )
-    run("warm", CompilerOptions(cache_dir=cold_dir, machine=machine))
-    parallel = run(
-        "parallel",
-        CompilerOptions(
-            cache_dir=parallel_dir, jobs=jobs, machine=machine
-        ),
-    )
-    rows[-1]["identical_to_cold"] = (
-        parallel.total_cycles == cold.total_cycles
-        and parallel.total_packets == cold.total_packets
-    )
-    return rows
-
-
-def _cmd_bench_compile(args) -> int:
-    """Compiler-throughput benchmark: the BENCH trajectory's producer."""
-    import os
-    import tempfile
-
-    from repro.cache import schema_hash
-
-    names = model_names() if args.model == "all" else [args.model]
-    if args.model != "all" and args.model not in MODELS:
-        # Let _resolve_graph produce the structured unknown-model error.
-        _resolve_graph(args.model)
-
-    from repro.machine.description import machine_names
-
-    machine = _cli_machine(args)
-    machines = machine_names() if machine == "all" else [machine]
-    rows: List[dict] = []
-    with tempfile.TemporaryDirectory() as scratch:
-        cache_root = args.cache_dir or scratch
-        for target in machines:
-            for name in names:
-                model_root = os.path.join(
-                    cache_root, target or "default", name
-                )
-                rows.extend(
-                    _bench_compile_model(
-                        name, model_root, args.jobs, machine=target
-                    )
-                )
-
-    by_mode = {
-        (r["model"], r["machine"], r["mode"]): r for r in rows
-    }
-    print(f"{'model':18s} {'machine':11s} {'mode':9s} {'seconds':>9s} "
-          f"{'vs cold':>8s} {'misses':>7s}")
-    for row in rows:
-        cold = by_mode[(row["model"], row["machine"], "cold")]["seconds"]
-        ratio = cold / row["seconds"] if row["seconds"] else float("inf")
-        print(f"{row['model']:18s} {row['machine']:11s} "
-              f"{row['mode']:9s} "
-              f"{row['seconds']:9.4f} {ratio:7.2f}x "
-              f"{row['cache']['misses']:7d}")
-
-    if args.json:
-        schemas = {
-            row["machine"]: schema_hash(row["machine"])[:16]
-            for row in rows
-        }
-        harness.write_bench_json(
-            args.output,
-            "compiler_throughput",
-            rows,
-            schema=(
-                schemas[rows[0]["machine"]]
-                if len(schemas) == 1 and rows
-                else schemas
-            ),
-            machines=sorted(schemas),
-            jobs=args.jobs,
-        )
-        print(f"wrote {len(rows)} row(s) to {args.output}")
-    return 0
-
-
 def _cmd_codegen(args) -> int:
     """Emit the specialized executor, prove parity, print the stats."""
     from repro.harness import example_feeds
@@ -1115,53 +921,6 @@ def _cmd_codegen(args) -> int:
     if args.dump_source:
         print()
         print(emitted.source)
-    return 0
-
-
-def _cmd_bench_infer(args) -> int:
-    """Inference-throughput benchmark: calibration and emitted-code gains."""
-    from repro.harness import bench_infer_model
-
-    if args.model not in MODELS:
-        _resolve_graph(args.model)  # structured unknown-model error
-
-    machine = _cli_machine(args)
-    options = None
-    if machine is not None:
-        from repro.compiler import CompilerOptions
-
-        options = CompilerOptions(machine=machine)
-    rows = bench_infer_model(
-        args.model,
-        requests=args.requests,
-        kernel_mac_limit=args.kernel_mac_limit,
-        options=options,
-    )
-
-    cold = next(r for r in rows if r["mode"] == "cold")
-    print(f"{'model':18s} {'mode':9s} {'seconds':>9s} {'req/s':>9s} "
-          f"{'vs cold':>8s}")
-    for row in rows:
-        ratio = (
-            cold["seconds"] / row["seconds"]
-            if row["seconds"]
-            else float("inf")
-        )
-        print(f"{row['model']:18s} {row['mode']:9s} "
-              f"{row['seconds']:9.4f} {row['requests_per_second']:9.2f} "
-              f"{ratio:7.2f}x")
-
-    if args.json:
-        harness.write_bench_json(
-            args.output,
-            "inference_throughput",
-            rows,
-            requests=args.requests,
-            kernel_mac_limit=args.kernel_mac_limit,
-            machine=rows[0]["machine"] if rows else None,
-            machine_schema=rows[0]["machine_schema"] if rows else None,
-        )
-        print(f"wrote {len(rows)} row(s) to {args.output}")
     return 0
 
 
@@ -1440,10 +1199,6 @@ def _dispatch(args) -> int:
         return _cmd_analyze(args)
     if args.command == "codegen":
         return _cmd_codegen(args)
-    if args.command == "bench":
-        if args.bench_command == "infer":
-            return _cmd_bench_infer(args)
-        return _cmd_bench_compile(args)
     if args.command == "tune":
         return _cmd_tune(args)
     if args.command == "campaign":

@@ -7,7 +7,8 @@ calibration: which kernel path each node takes, the quantization
 parameters of every operand, the fixed-point rescale plan of every
 add/sub, the quantized weight levels of every GEMM, and which tensors
 die where.  On moderate graphs that per-instruction dispatch is the
-inference bottleneck (see ``BENCH_inference_throughput.json``).
+inference bottleneck (``codegen.speedup_vs_interpreter`` in the
+end-to-end benchmark, ``benchmarks/e2e``).
 
 :func:`emit_executor` moves all of those decisions to *emit time*: it
 walks the compiled graph once and generates the Python source of a

@@ -31,12 +31,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import BudgetExceeded, ReproError
-from repro.cache import (
-    ScheduleCache,
-    ScheduleEntry,
-    kernel_fingerprint,
-    pack_parallel,
-)
+from repro.cache import ScheduleCache, ScheduleEntry, kernel_fingerprint
 from repro.core.cost import CostModel
 from repro.core.chain_dp import is_in_tree, solve_chain
 from repro.core.exhaustive import solve_exhaustive
@@ -84,11 +79,6 @@ from repro.verify import (
 #: :class:`~repro.machine.description.MachineDescription`.
 DEFAULT_PIPELINE = PipelineModel(clock_ghz=HEXAGON_698.clock_ghz)
 VECTOR_CONTEXTS = HEXAGON_698.vector_contexts
-
-#: Packer registry (moved to :mod:`repro.core.packing` so the parallel
-#: compilation workers can resolve packers by name); kept as a module
-#: alias for existing importers.
-_PACKERS: Dict[str, Callable] = PACKERS
 
 
 @dataclass(frozen=True)
@@ -138,10 +128,10 @@ class CompilerOptions:
         (the dynamic checkers already gate correctness); ``repro
         verify`` and ``repro lint`` turn it on.
     jobs:
-        Worker processes for the packing stage.  ``jobs > 1`` packs
-        the model's unique kernel bodies concurrently and merges the
-        results deterministically — the compiled artefact is
-        bit-identical to a ``jobs=1`` compile.
+        Vestigial: only ``1`` is accepted.  Process-pool packing was
+        removed (it was slower than in-process packing in every zoo x
+        machine cell); the keyword survives because
+        ``benchmarks/e2e/compile_workloads.py`` still passes ``jobs=1``.
     cache_dir:
         Directory for the persistent schedule cache (tier 2).  ``None``
         (the default) keeps the cache in-memory only; compiles never
@@ -190,6 +180,7 @@ class CompilerOptions:
     strict: bool = False
     verify: bool = True
     lint: bool = False
+    # ROADMAP 0(b) drops ``jobs=1`` from the benchmark, then this field.
     jobs: int = 1
     cache_dir: Optional[str] = None
     cache_memory_entries: int = 256
@@ -219,10 +210,41 @@ class CompilerOptions:
                 f"unroll_config must be an UnrollConfig, "
                 f"got {type(self.unroll_config).__name__}"
             )
-        if self.packing not in _PACKERS:
+        for switch in (
+            "other_opts", "graph_passes", "include_extensions",
+            "scalar_activations", "strict", "verify", "lint", "tuned",
+        ):
+            if not isinstance(getattr(self, switch), bool):
+                raise ReproError(
+                    f"{switch} must be a bool, "
+                    f"got {getattr(self, switch)!r}"
+                )
+        if (
+            not isinstance(self.max_operators, int)
+            or isinstance(self.max_operators, bool)
+            or self.max_operators < 1
+        ):
+            raise ReproError(
+                f"max_operators must be an int >= 1, "
+                f"got {self.max_operators!r}"
+            )
+        for rate in ("kernel_efficiency", "transform_bytes_per_cycle"):
+            value = getattr(self, rate)
+            if (
+                not isinstance(value, (int, float))
+                or not math.isfinite(value)
+                or value <= 0
+            ):
+                raise ReproError(
+                    f"{rate} must be a finite number > 0, got {value!r}"
+                )
+        if self.packing not in PACKERS:
             raise ReproError(f"unknown packer {self.packing!r}")
-        if self.jobs < 1:
-            raise ReproError("jobs must be >= 1")
+        if self.jobs != 1:
+            raise ReproError(
+                f"jobs={self.jobs!r}: parallel packing was removed; "
+                f"only jobs=1 is accepted"
+            )
         if self.cache_memory_entries < 1:
             raise ReproError("cache_memory_entries must be >= 1")
         if (
@@ -449,19 +471,12 @@ class GCD2Compiler:
         )
         pm.check("lowering", verify_lowering, graph, kernels)
 
-        # Stage 5 — SDA VLIW packing + per-node cycle estimation.  With
-        # jobs > 1 the unique kernel bodies are packed concurrently
-        # first; assembly below then resolves every schedule from the
-        # cache, so the merge order (and therefore the artefact) is
-        # independent of worker scheduling.
+        # Stage 5 — SDA VLIW packing + per-node cycle estimation.
         def pack_stage() -> List[CompiledNode]:
-            if options.jobs > 1:
-                self._prewarm_schedules(
-                    kernels, compute_nodes, diagnostics
-                )
             return [
                 self._assemble_node(
                     graph,
+                    model,
                     node,
                     selection.plan_for(node.node_id),
                     unrolls[node.node_id],
@@ -659,76 +674,10 @@ class GCD2Compiler:
             m, n, plan.instruction, self.options.unroll_config
         )
 
-    def _prewarm_schedules(
-        self,
-        kernels: Dict[int, LoweredKernel],
-        compute_nodes: List[Node],
-        diagnostics: CompilationDiagnostics,
-    ) -> None:
-        """Pack all unique kernel bodies concurrently (``jobs > 1``).
-
-        Assembly packs each node under both the configured packer and
-        the ``sda`` reference, so both fingerprints are prewarmed.
-        Results merge into the cache sorted by fingerprint — worker
-        completion order never reaches the artefact.
-        """
-        # Both packer configurations assembly will request: the tuned
-        # one and the pinned default-SDA quality reference (these can
-        # collide into one when no tuning is set).
-        specs = {
-            (self.options.packing, self.options.sda_config or SdaConfig()),
-            ("sda", SdaConfig()),
-        }
-        pending: Dict[str, Tuple[str, List, SdaConfig]] = {}
-        for node in compute_nodes:
-            kernel = kernels[node.node_id]
-            for packer_name, sda_config in sorted(
-                specs, key=lambda spec: spec[0]
-            ):
-                fingerprint = self._fingerprint(
-                    kernel, packer_name, sda_config
-                )
-                if fingerprint in pending:
-                    continue
-                entry, tier = self.schedule_cache.lookup(fingerprint)
-                diagnostics.record_cache_lookup(tier)
-                if entry is None:
-                    pending[fingerprint] = (
-                        packer_name, list(kernel.body), sda_config
-                    )
-        if not pending:
-            return
-        tasks = [
-            (fingerprint, *pending[fingerprint], self.machine)
-            for fingerprint in sorted(pending)
-        ]
-        results, report = pack_parallel(tasks, jobs=self.options.jobs)
-        for fingerprint in sorted(results):
-            self.schedule_cache.put(fingerprint, results[fingerprint])
-        diagnostics.record_parallel(
-            jobs=report.jobs,
-            tasks=report.tasks,
-            busy_seconds=report.busy_seconds,
-            wall_seconds=report.wall_seconds,
-            utilization=report.utilization,
-        )
-        if report.fell_back:
-            diagnostics.warn(
-                f"parallel packing fell back to in-process execution "
-                f"(requested jobs={self.options.jobs})"
-            )
-            diagnostics.record_degradation(
-                "packing",
-                f"parallel(jobs={self.options.jobs})",
-                "serial",
-                f"worker pool unavailable or died mid-round; "
-                f"salvaged {report.salvaged} result(s), packed "
-                f"{report.serial_packed} body(ies) in-process",
-            )
-
     def _assemble_node(
         self,
         graph: ComputationalGraph,
+        model: CostModel,
         node: Node,
         plan: ExecutionPlan,
         unroll: UnrollPlan,
@@ -746,14 +695,6 @@ class GCD2Compiler:
         # scales the compute side by this packer/unroll configuration's
         # quality.  The memory-roofline side is bandwidth-bound and
         # does not improve with packing.
-        model = CostModel(
-            other_opts=self.options.other_opts,
-            scalar_activations=self.options.scalar_activations,
-            transform_bytes_per_cycle=(
-                self.options.transform_bytes_per_cycle
-            ),
-            machine=self.machine,
-        )
         compute, memory = model.node_cost_detail(graph, node, plan)
         _, reference_cycles, _ = self._pack(
             kernel,

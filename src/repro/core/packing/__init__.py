@@ -21,9 +21,8 @@ from repro.core.packing.baselines import (
     pack_list_schedule,
 )
 
-#: Packer name -> callable registry shared by the compiler driver and
-#: the parallel compilation workers (which must resolve packers by name
-#: because callables cross process boundaries poorly).
+#: Packer name -> callable registry: ``CompilerOptions.packing`` and
+#: the schedule-cache fingerprint identify a packer by name.
 PACKERS: Dict[str, Callable] = {
     "sda": pack_best,
     "sda_pure": pack_instructions,
@@ -43,8 +42,6 @@ def configured_packer(
     vary the former and multi-target compiles the latter.  Only the
     SDA-family packers consume the config — the baselines ignore it by
     construction — while every packer takes the machine description.
-    Workers resolve through this function (name + config + machine
-    cross process boundaries; closures do not).
     """
     if name not in PACKERS:
         raise KeyError(f"unknown packer {name!r}")

@@ -109,9 +109,9 @@ def write_bench_json(
 ) -> Dict:
     """Write one committed ``BENCH_*.json`` payload; returns it.
 
-    Shared by ``repro bench compile``, ``repro bench infer`` and
-    ``repro tune --json`` so every benchmark artefact has the same
-    shape: the benchmark name, its parameters (``meta``), the host
+    Shared by ``repro tune --json`` and ``repro campaign report`` so
+    every benchmark artefact has the same shape: the benchmark name,
+    its parameters (``meta``), the host
     provenance (CPU count, Python version) and the rows.  Callers that
     need run-to-run bit-identical files (the autotuner) simply pass no
     wall-clock-dependent meta and no timing rows.
@@ -786,8 +786,9 @@ def example_feeds(
 ) -> List[Dict]:
     """Random input feeds matching a graph's input nodes.
 
-    Deterministic in ``seed``; used by the inference benchmark, the
-    engine parity check and the runtime tests.
+    Deterministic in ``seed``; used by the serve layer's calibration,
+    the end-to-end benchmark, the engine parity check and the runtime
+    tests.
     """
     import numpy as np
 
@@ -804,134 +805,6 @@ def example_feeds(
         }
         for _ in range(count)
     ]
-
-
-def bench_infer_model(
-    name: str,
-    *,
-    requests: int = 8,
-    calibration_samples: int = 2,
-    kernel_mac_limit: Optional[int] = 0,
-    seed: int = 0,
-    options: Optional[CompilerOptions] = None,
-) -> List[Dict]:
-    """Cold / frozen / codegen inference-throughput rows for one model.
-
-    * ``cold`` — a fresh executor per request, each auto-calibrating
-      from its own feed: the pre-frozen-calibration cost model (one
-      float forward per request on top of the int8 pass);
-    * ``frozen`` — one executor calibrated once from
-      ``calibration_samples`` sample feeds, then pure int8 requests
-      (the per-sample reference every parity gate compares against);
-    * ``codegen`` — the :class:`~repro.runtime.engine.InferenceEngine`
-      serving the same requests as one batch through its emitted
-      straight-line executor (:mod:`repro.codegen.emit`), warmed and
-      parity-proven (``verify_engine_parity``) before timing, with its
-      bit-identity to the frozen row recorded.
-
-    Each row carries a ``speedup_vs_cold`` ratio — cross-run
-    comparisons should use the ratios, not wall seconds, which drift
-    with machine load.
-
-    ``kernel_mac_limit=0`` routes every GEMM through the exact BLAS
-    int32 path (bit-identical to the instruction kernels), keeping the
-    benchmark about calibration/dispatch overhead rather than the
-    semantic-level Python kernel loops.
-    """
-    import time
-
-    import numpy as np
-
-    from repro.cache.fingerprint import schema_hash
-    from repro.machine.description import resolve_machine
-    from repro.runtime import InferenceEngine, QuantizedExecutor
-    from repro.verify.runtime import verify_engine_parity
-
-    machine_arg = options.machine if options is not None else None
-    machine_name = resolve_machine(machine_arg).name
-    machine_schema = schema_hash(machine_arg)[:16]
-
-    compiled = compile_cached(name, options)
-    feeds_list = example_feeds(compiled.graph, count=requests)
-    sample_feeds = example_feeds(
-        compiled.graph, count=calibration_samples, seed=99
-    )
-    rows: List[Dict] = []
-
-    def row(mode: str, seconds: float, **extra) -> None:
-        rows.append(
-            {
-                "model": name,
-                "mode": mode,
-                "machine": machine_name,
-                "machine_schema": machine_schema,
-                "requests": requests,
-                "seconds": round(seconds, 6),
-                "requests_per_second": round(requests / seconds, 4)
-                if seconds
-                else float("inf"),
-                **extra,
-            }
-        )
-
-    start = time.perf_counter()
-    for feeds in feeds_list:
-        executor = QuantizedExecutor(
-            compiled, seed=seed, kernel_mac_limit=kernel_mac_limit
-        )
-        executor.run(feeds)
-    row("cold", time.perf_counter() - start, calibration="per-request")
-
-    frozen_executor = QuantizedExecutor(
-        compiled, seed=seed, kernel_mac_limit=kernel_mac_limit
-    )
-    calibration = frozen_executor.calibrate(sample_feeds)
-    start = time.perf_counter()
-    frozen_outputs = [frozen_executor.run(feeds) for feeds in feeds_list]
-    row(
-        "frozen",
-        time.perf_counter() - start,
-        calibration="frozen",
-        calibration_samples=calibration.samples,
-    )
-
-    engine = InferenceEngine(
-        compiled, calibration, seed=seed, kernel_mac_limit=kernel_mac_limit
-    )
-    # Warm (triggers emission), then *prove* the emitted executor both
-    # served the batch and matched the per-sample executor bit-for-bit,
-    # before any timing.
-    engine.run_batch(feeds_list[:1])
-    parity = verify_engine_parity(engine, feeds_list)
-    start = time.perf_counter()
-    codegen_outputs = engine.run_batch(feeds_list)
-    seconds = time.perf_counter() - start
-    identical = all(
-        set(single) == set(emitted)
-        and all(
-            np.array_equal(single[key], emitted[key]) for key in single
-        )
-        for single, emitted in zip(frozen_outputs, codegen_outputs)
-    )
-    diag = engine.diagnostics
-    row(
-        "codegen",
-        seconds,
-        calibration="frozen",
-        identical_to_sequential=identical,
-        codegen_emit_ms=round(diag.codegen_emit_ms, 3),
-        codegen_fingerprint=diag.codegen_fingerprint,
-        parity_outputs=parity["outputs"],
-    )
-
-    cold_seconds = rows[0]["seconds"]
-    for entry in rows:
-        entry["speedup_vs_cold"] = (
-            round(cold_seconds / entry["seconds"], 4)
-            if entry["seconds"]
-            else float("inf")
-        )
-    return rows
 
 
 def run_all(verbose: bool = True) -> Dict[str, List[Dict]]:

@@ -186,7 +186,7 @@ def build_conformer(
 # ---------------------------------------------------------------------------
 
 #: Default decoder-tiny geometry: small enough that the zoo-wide
-#: strict/lint/parallel test matrices stay fast, large enough that the
+#: strict/lint test matrices stay fast, large enough that the
 #: attention GEMMs dominate the node count.
 DECODER_HIDDEN = 128
 DECODER_HEADS = 4

@@ -13,9 +13,9 @@ The request lifecycle and its degradation ladder:
   queue rejects with a structured 429-shaped
   :class:`~repro.errors.AdmissionError` instead of building backlog;
 * **compile workers** drain the queue through a ladder of
-  configurations — as requested → untuned → serial packing — retrying
-  transient faults (dead worker pools, I/O errors) with backoff and
-  recording every downgrade; repeated failures trip a per-model
+  configurations — as requested → untuned — retrying transient faults
+  (I/O errors) with backoff and recording every downgrade; repeated
+  failures trip a per-model
   :class:`~repro.serve.breaker.CircuitBreaker` that quarantines the
   model instead of burning workers on it;
 * **inference** runs on per-model :class:`~repro.serve.pool.EnginePool`
@@ -39,7 +39,6 @@ import json
 import math
 import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple
@@ -74,7 +73,7 @@ from repro.verify.budget import Deadline
 
 #: Exception types the compile path treats as *transient*: worth
 #: retrying in place (with backoff) before descending the ladder.
-TRANSIENT_ERRORS = (OSError, BrokenProcessPool)
+TRANSIENT_ERRORS = (OSError,)
 
 
 def coerce_deadline_s(value, field: str = "deadline_s") -> Optional[float]:
@@ -228,10 +227,14 @@ class ServeService:
                     f"manifest entry missing name/source: {payload!r}"
                 )
                 continue
+            options = dict(payload.get("options", {}))
+            # Manifests written before parallel packing was removed may
+            # carry "jobs"; its artefact was bit-identical to jobs=1.
+            options.pop("jobs", None)
             entry = ModelEntry(
                 name=name,
                 source=source,
-                options_payload=dict(payload.get("options", {})),
+                options_payload=options,
                 calibration_seed=int(
                     payload.get("calibration_seed", 99)
                 ),
@@ -342,13 +345,8 @@ class ServeService:
     def _ladder(self, payload: Dict) -> List[Tuple[str, Dict]]:
         """The compile configurations to try, best first."""
         rungs: List[Tuple[str, Dict]] = [("as-requested", dict(payload))]
-        current = dict(payload)
-        if current.get("tuned"):
-            current = {**current, "tuned": False}
-            rungs.append(("untuned", dict(current)))
-        if int(current.get("jobs", 1) or 1) > 1:
-            current = {**current, "jobs": 1}
-            rungs.append(("serial-packing", dict(current)))
+        if payload.get("tuned"):
+            rungs.append(("untuned", {**payload, "tuned": False}))
         return rungs
 
     def _compile_job(self, job: CompileJob) -> None:
@@ -440,7 +438,7 @@ class ServeService:
                 deadline.check("compile-admission")
             job.attempts.append(
                 f"{payload.get('tuned') and 'tuned' or 'default'}"
-                f"/jobs={payload.get('jobs', 1)}/try={attempt + 1}"
+                f"/try={attempt + 1}"
             )
             try:
                 return compile_model(

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.compiler import CompilerOptions
-from repro.errors import GraphError, ServiceError
+from repro.errors import GraphError, ReproError, ServiceError
 from repro.graph.graph import ComputationalGraph
 
 #: Model lifecycle states.
@@ -42,7 +42,6 @@ ALLOWED_OPTION_KEYS = (
     "packing",
     "unrolling",
     "max_operators",
-    "jobs",
     "tuned",
     "include_extensions",
     "kernel_efficiency",
@@ -109,7 +108,8 @@ def options_from_payload(
 
     Unknown keys are rejected (a typo must not silently compile with
     defaults), allowed keys are validated by ``CompilerOptions`` itself
-    and the service's ``cache_dir`` is always attached.
+    — a bad value is the same structured 400 as a bad key — and the
+    service's ``cache_dir`` is always attached.
     """
     payload = dict(payload or {})
     unknown = sorted(set(payload) - set(ALLOWED_OPTION_KEYS))
@@ -122,7 +122,14 @@ def options_from_payload(
                 "allowed": list(ALLOWED_OPTION_KEYS),
             },
         )
-    return CompilerOptions(cache_dir=cache_dir, **payload)
+    try:
+        return CompilerOptions(cache_dir=cache_dir, **payload)
+    except (ReproError, TypeError) as exc:
+        raise ServiceError(
+            f"invalid compiler option: {getattr(exc, 'message', exc)}",
+            stage="serve",
+            details={"options": payload},
+        ) from exc
 
 
 @dataclass

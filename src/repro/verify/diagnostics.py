@@ -30,12 +30,11 @@ class DegradationRecord:
     """One recorded downgrade of any component's operating mode.
 
     The generic form of :class:`FallbackRecord`: ``component`` names
-    what degraded (``"packing"``, ``"compile"``, ``"inference"``, …)
+    what degraded (``"compile"``, ``"inference"``, …)
     and ``from_mode``/``to_mode`` the ladder step taken
-    (``parallel -> serial``, ``tuned -> default``,
-    ``batched -> per-sample``).  Both the compiler and the serving
-    layer append these so every artefact carries the honest story of
-    how it was produced.
+    (``tuned -> default``, ``batched -> per-sample``).  Both the
+    compiler and the serving layer append these so every artefact
+    carries the honest story of how it was produced.
     """
 
     component: str
@@ -78,7 +77,6 @@ class CompilationDiagnostics:
     #: the packing stage's deterministic effort count.
     packing_bodies: int = 0
     packing_work: int = 0
-    parallel: Dict[str, float] = field(default_factory=dict)
     tuning: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -139,23 +137,6 @@ class CompilationDiagnostics:
         else:
             self.cache_misses += 1
 
-    def record_parallel(
-        self,
-        jobs: int,
-        tasks: int,
-        busy_seconds: float,
-        wall_seconds: float,
-        utilization: float,
-    ) -> None:
-        """Record one parallel packing round's worker accounting."""
-        self.parallel = {
-            "jobs": jobs,
-            "tasks": tasks,
-            "busy_seconds": busy_seconds,
-            "wall_seconds": wall_seconds,
-            "utilization": utilization,
-        }
-
     def record_tuning(
         self,
         model: str,
@@ -204,7 +185,6 @@ class CompilationDiagnostics:
             "cache_memory_hits": self.cache_memory_hits,
             "cache_disk_hits": self.cache_disk_hits,
             "cache_misses": self.cache_misses,
-            "parallel": dict(self.parallel),
             "tuning": dict(self.tuning),
         }
 
@@ -238,13 +218,6 @@ class CompilationDiagnostics:
                 f"schedule cache: {self.cache_memory_hits} memory + "
                 f"{self.cache_disk_hits} disk hit(s), "
                 f"{self.cache_misses} miss(es)"
-            )
-        if self.parallel:
-            lines.append(
-                f"parallel packing: {self.parallel['jobs']:.0f} job(s), "
-                f"{self.parallel['tasks']:.0f} task(s), "
-                f"{self.parallel['utilization'] * 100:.0f}% worker "
-                f"utilization"
             )
         if self.tuning:
             cycles = self.tuning.get("cycles")

@@ -14,7 +14,6 @@ from repro.cache import (
     schema_hash,
 )
 from repro.cache import fingerprint as fingerprint_mod
-from repro.cache.parallel import pack_parallel
 from repro.core.packing import PACKERS
 from repro.core.packing.sda import SdaConfig
 from repro.core.unroll import UnrollConfig
@@ -258,34 +257,3 @@ class TestScheduleCache:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             ScheduleCache(memory_entries=0)
-
-
-class TestPackParallel:
-    def test_results_match_serial_packing(self):
-        bodies = {
-            f"fp{i}": _body(i + 1) for i in range(3)
-        }
-        tasks = [
-            (fp, "sda", body) for fp, body in sorted(bodies.items())
-        ]
-        results, report = pack_parallel(tasks, jobs=2)
-        assert set(results) == set(bodies)
-        assert report.tasks == 3
-        for fp, body in bodies.items():
-            expected = PACKERS["sda"](body)
-            assert results[fp].cycles == schedule_cycles(expected)
-
-    def test_worker_packets_reference_returned_body(self):
-        tasks = [("fp", "sda", _body())]
-        results, _ = pack_parallel(tasks, jobs=2)
-        entry = results["fp"]
-        body_uids = {inst.uid for inst in entry.body}
-        for packet in entry.packets:
-            for inst in packet:
-                assert inst.uid in body_uids
-
-    def test_report_utilization_bounded(self):
-        results, report = pack_parallel(
-            [("fp", "sda", _body())], jobs=2
-        )
-        assert 0.0 <= report.utilization <= 1.0

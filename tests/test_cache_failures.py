@@ -1,18 +1,14 @@
 """Disk-cache failure modes: every I/O fault degrades, none fails a
-compile, and a salvaged parallel round keeps its completed results.
+compile.
 
 Covers the robustness seams added for the serving layer: torn/truncated
-disk entries, an unusable cache directory, a full disk (via the
-``write_hook`` fault seam), and a worker pool dying mid-round with
-results already in hand.
+disk entries, an unusable cache directory and a full disk (via the
+``write_hook`` fault seam).
 """
 
 import json
 
-import pytest
-
 from repro.cache import ScheduleCache, TIER_DISK, TIER_MISS
-from repro.cache.parallel import pack_parallel
 from repro.compiler import CompilerOptions, GCD2Compiler
 from repro.core.packing import PACKERS
 from repro.isa.instructions import Instruction, Opcode
@@ -144,106 +140,3 @@ class TestDiskFull:
         reader = ScheduleCache(disk_dir=tmp_path)
         assert reader.lookup("fp2")[1] == TIER_DISK
         assert reader.lookup("fp1")[1] == TIER_MISS
-
-
-class _DyingFuture:
-    def __init__(self, outcome, exc=None):
-        self._outcome = outcome
-        self._exc = exc
-
-    def result(self):
-        if self._exc is not None:
-            raise self._exc
-        return self._outcome
-
-
-class _DyingPool:
-    """Completes the first task, then the pool is 'dead'."""
-
-    def __init__(self, max_workers=None):
-        self.submitted = 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def submit(self, fn, task):
-        from concurrent.futures.process import BrokenProcessPool
-
-        self.submitted += 1
-        if self.submitted == 1:
-            return _DyingFuture(fn(task))
-        return _DyingFuture(
-            None, BrokenProcessPool("worker died mid-round")
-        )
-
-
-class TestBrokenPoolSalvage:
-    def test_completed_results_are_salvaged(self, monkeypatch):
-        import repro.cache.parallel as parallel_mod
-
-        monkeypatch.setattr(
-            parallel_mod, "ProcessPoolExecutor", _DyingPool
-        )
-        tasks = [(f"fp{i}", "sda", _body(i)) for i in range(3)]
-        results, report = pack_parallel(tasks, jobs=2)
-        assert set(results) == {"fp0", "fp1", "fp2"}
-        assert report.fell_back
-        assert report.salvaged == 1
-        assert report.serial_packed == 2
-        assert report.jobs == 1
-
-    def test_salvaged_results_match_serial(self, monkeypatch):
-        import repro.cache.parallel as parallel_mod
-
-        tasks = [(f"fp{i}", "sda", _body(i)) for i in range(3)]
-        serial, _ = pack_parallel(tasks, jobs=1)
-        monkeypatch.setattr(
-            parallel_mod, "ProcessPoolExecutor", _DyingPool
-        )
-        salvaged, _ = pack_parallel(tasks, jobs=2)
-        for fingerprint in serial:
-            assert (
-                salvaged[fingerprint].cycles == serial[fingerprint].cycles
-            )
-            assert len(salvaged[fingerprint].packets) == len(
-                serial[fingerprint].packets
-            )
-
-    def test_pool_spawn_failure_packs_everything_serially(
-        self, monkeypatch
-    ):
-        import repro.cache.parallel as parallel_mod
-
-        class NoPool:
-            def __init__(self, max_workers=None):
-                raise OSError("cannot spawn workers")
-
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", NoPool)
-        tasks = [(f"fp{i}", "sda", _body(i)) for i in range(2)]
-        results, report = pack_parallel(tasks, jobs=4)
-        assert set(results) == {"fp0", "fp1"}
-        assert report.fell_back and report.salvaged == 0
-        assert report.serial_packed == 2
-
-    def test_compiler_records_packing_degradation(self, monkeypatch):
-        import repro.cache.parallel as parallel_mod
-
-        class NoPool:
-            def __init__(self, max_workers=None):
-                raise OSError("cannot spawn workers")
-
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", NoPool)
-        compiled = GCD2Compiler(CompilerOptions(jobs=2)).compile(
-            small_cnn()
-        )
-        records = [
-            r
-            for r in compiled.diagnostics.degradations
-            if r.component == "packing"
-        ]
-        assert records, "parallel→serial downgrade was not recorded"
-        assert records[0].to_mode == "serial"
-        assert "parallel" in records[0].from_mode

@@ -112,38 +112,20 @@ class TestChart:
         assert "no chart mapping" in capsys.readouterr().out
 
 
-class TestBenchCompile:
-    def test_writes_json_with_three_modes(self, tmp_path, capsys):
-        output = tmp_path / "bench.json"
-        assert main([
-            "bench", "compile", "wdsr_b",
-            "--json", "--output", str(output),
-            "--cache-dir", str(tmp_path / "cache"),
-            "--jobs", "2",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "cold" in out and "warm" in out and "parallel" in out
+class TestRemovedSurface:
+    """Process-pool packing and the pre-e2e ``bench`` tree are gone."""
 
-        payload = json.loads(output.read_text())
-        assert payload["benchmark"] == "compiler_throughput"
-        assert payload["jobs"] == 2
-        modes = [row["mode"] for row in payload["rows"]]
-        assert modes == ["cold", "warm", "parallel"]
-        by_mode = {row["mode"]: row for row in payload["rows"]}
-        assert by_mode["warm"]["cache"]["misses"] == 0
-        assert by_mode["cold"]["cache"]["misses"] > 0
-        assert by_mode["parallel"]["identical_to_cold"] is True
-
-    def test_table_only_without_json_flag(self, tmp_path, capsys):
-        assert main([
-            "bench", "compile", "wdsr_b",
-            "--cache-dir", str(tmp_path),
-        ]) == 0
-        assert not (tmp_path / "BENCH_compiler_throughput.json").exists()
-
-    def test_unknown_model_rejected(self, capsys):
-        assert main(["bench", "compile", "alexnet"]) == 1
-        assert "GraphError" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "compile", "wdsr_b"],
+            ["compile", "wdsr_b", "--jobs", "2"],
+        ],
+    )
+    def test_argparse_rejects(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 class TestCacheCommand:

@@ -1,9 +1,9 @@
-"""Compiler-level tests for the schedule cache and parallel compiles.
+"""Compiler-level tests for the schedule cache.
 
 Covers the unsound-key regression (bodies differing only in an
 immediate must not share a schedule), hit/miss accounting in
-diagnostics, disk round-trips across compiler instances, schema-hash
-invalidation, and the bit-identity of parallel compiles.
+diagnostics, disk round-trips across compiler instances and
+schema-hash invalidation.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.compiler import CompilerOptions, GCD2Compiler
 from repro.errors import ReproError
 from repro.isa.instructions import Instruction, Opcode
 from repro.machine.simulator import Simulator
-from repro.models import build_model, model_names
 from tests.conftest import small_cnn
 
 
@@ -155,48 +154,17 @@ class TestDiskCache:
 
 
 class TestParallelCompilation:
+    """Process-pool packing is gone; ``jobs`` only accepts ``1``."""
+
     def test_options_validation(self):
-        with pytest.raises(ReproError):
-            CompilerOptions(jobs=0)
+        assert CompilerOptions(jobs=1).jobs == 1
+        for jobs in (0, 2):
+            with pytest.raises(
+                ReproError, match="parallel packing was removed"
+            ):
+                CompilerOptions(jobs=jobs)
         with pytest.raises(ReproError):
             CompilerOptions(cache_memory_entries=0)
-
-    @pytest.mark.parametrize("model_name", model_names())
-    def test_parallel_bit_identical_across_zoo(self, model_name):
-        graph = build_model(model_name)
-        serial = GCD2Compiler(CompilerOptions(jobs=1)).compile(graph)
-        parallel = GCD2Compiler(CompilerOptions(jobs=4)).compile(graph)
-
-        assert parallel.total_cycles == serial.total_cycles
-        assert parallel.total_packets == serial.total_packets
-        assert [n.cycles for n in parallel.nodes] == \
-            [n.cycles for n in serial.nodes]
-        assert [n.packet_count for n in parallel.nodes] == \
-            [n.packet_count for n in serial.nodes]
-        assert {
-            nid: plan.label
-            for nid, plan in parallel.selection.assignment.items()
-        } == {
-            nid: plan.label
-            for nid, plan in serial.selection.assignment.items()
-        }
-
-    def test_parallel_records_worker_accounting(self):
-        compiled = GCD2Compiler(CompilerOptions(jobs=2)).compile(
-            small_cnn()
-        )
-        info = compiled.diagnostics.parallel
-        assert info["tasks"] > 0
-        assert 0.0 <= info["utilization"] <= 1.0
-
-    def test_parallel_prewarm_covers_all_assembly_lookups(self):
-        compiled = GCD2Compiler(CompilerOptions(jobs=2)).compile(
-            small_cnn()
-        )
-        diag = compiled.diagnostics
-        # Misses only happen during prewarm; assembly then resolves
-        # everything from memory.
-        assert diag.cache_misses == diag.parallel["tasks"]
 
 
 class TestFingerprintMatchesCompilerUsage:

@@ -80,6 +80,9 @@ def golden_entry(model_name: str, machine: str) -> Dict[str, object]:
         build_model(model_name), CompilerOptions(machine=machine)
     )
     diagnostics = compiled.diagnostics
+    # One packing path: every schedule-cache miss is a body this
+    # process packed, so the work counter sees all of the packing.
+    assert diagnostics.packing_bodies == diagnostics.cache_misses
     return {
         "digest": model_digest(compiled),
         "total_packets": compiled.total_packets,

@@ -76,25 +76,6 @@ class TestHarnessUtilities:
         assert latency > compiled.latency_ms
 
 
-class TestBenchInferRows:
-    @pytest.mark.slow
-    def test_rows_carry_machine_name_and_schema(self):
-        from repro.cache.fingerprint import schema_hash
-        from repro.compiler import CompilerOptions
-
-        rows = harness.bench_infer_model(
-            "mobilenet_v3",
-            requests=1,
-            options=CompilerOptions(machine="narrow64"),
-        )
-        assert rows
-        for row in rows:
-            assert row["machine"] == "narrow64"
-            assert row["machine_schema"] == (
-                schema_hash("narrow64")[:16]
-            )
-
-
 class TestAbsoluteLatencyBand:
     """Modelled latencies land within ~3x of the paper's milliseconds
     (the simulator is not the authors' testbed, but it should not be

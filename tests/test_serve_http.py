@@ -190,6 +190,34 @@ class TestErrorBodies:
         status, _, _ = _request(f"{server.url}/models/bad_deadline")
         assert status == 404
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"selection": "gdc2"},
+            {"kernel_efficiency": 0},
+            {"max_operators": "13"},
+        ],
+    )
+    def test_bad_option_value_is_400_and_not_registered(
+        self, server, graph_path, options
+    ):
+        _, before, _ = _request(f"{server.url}/status")
+        status, body, _ = _request(
+            f"{server.url}/models",
+            {"name": "bad_option", "source": graph_path,
+             "options": options},
+        )
+        assert status == 400
+        assert body["code"] == "service-error"
+        assert body["stage"] == "serve"
+        assert next(iter(options)) in body["message"]
+        assert body["details"]["options"] == options
+        status, _, _ = _request(f"{server.url}/models/bad_option")
+        assert status == 404
+        _, after, _ = _request(f"{server.url}/status")
+        assert len(after["jobs"]) == len(before["jobs"])
+        assert after["queue"]["depth"] == before["queue"]["depth"]
+
     def test_non_positive_infer_deadline_is_400(self, server):
         status, body, _ = _request(
             f"{server.url}/models/m1/infer",

@@ -5,6 +5,7 @@ and every degradation rung, asserting that each downgrade is recorded
 in the service diagnostics — the contract the chaos harness relies on.
 """
 
+import json
 import threading
 import time
 
@@ -81,6 +82,36 @@ class TestRegisterAndCompile:
             )
         assert "jbos" in str(excinfo.value)
         assert excinfo.value.details["allowed"]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"selection": "gdc2"},
+            {"kernel_efficiency": 0},
+            {"kernel_efficiency": -1.0},
+            {"kernel_efficiency": float("nan")},
+            {"max_operators": 0},
+            {"max_operators": "13"},
+            {"max_operators": 2.5},
+            {"include_extensions": "no"},
+        ],
+    )
+    def test_bad_option_value_is_a_structured_400(self, payload):
+        from repro.serve.app import http_status_for
+        from repro.serve.registry import options_from_payload
+
+        with pytest.raises(ServiceError) as excinfo:
+            options_from_payload(payload)
+        assert http_status_for(excinfo.value) == 400
+        assert excinfo.value.stage == "serve"
+        assert next(iter(payload)) in excinfo.value.message
+        assert excinfo.value.details["options"] == payload
+
+    def test_removed_jobs_option_is_an_unknown_key(self):
+        from repro.serve.registry import options_from_payload
+
+        with pytest.raises(ServiceError, match="unknown.*jobs"):
+            options_from_payload({"jobs": 2})
 
     def test_unknown_source_rejected(self, service):
         with pytest.raises(GraphError):
@@ -412,6 +443,33 @@ class TestWarmStart:
             assert after == baseline
         finally:
             second.stop()
+
+    def test_manifest_with_removed_jobs_option_restores(
+        self, tmp_path, graph_path
+    ):
+        # A models.json persisted while ``options.jobs`` existed: its
+        # artefact was bit-identical to jobs=1, so the key is dropped.
+        cache_dir = tmp_path / "old-cache"
+        config = ServeConfig(
+            cache_dir=str(cache_dir), graph_root=str(tmp_path)
+        )
+        fresh = ServeService(config).start(warm=False)
+        entry, _ = _register(fresh, graph_path)
+        cycles = entry.compiled.total_cycles
+        fresh.stop()
+        manifest = cache_dir / "serve" / "models.json"
+        payload = json.loads(manifest.read_text())
+        payload["models"][0]["options"] = {"jobs": 4}
+        manifest.write_text(json.dumps(payload))
+
+        restored = ServeService(config).start(warm=True)
+        try:
+            entry = restored.registry.get("m1")
+            assert entry.state == "ready"
+            assert entry.compiled.total_cycles == cycles
+            assert entry.options_payload == {}
+        finally:
+            restored.stop()
 
     def test_corrupt_manifest_starts_cold(self, tmp_path, graph_path):
         cache_dir = tmp_path / "manifest-cache"
