@@ -32,7 +32,8 @@ Commands
     (:mod:`repro.codegen.emit`), prove it bit-identical to per-sample
     execution (``verify_engine_parity``) and print
     emit-time/fingerprint/node statistics; ``--dump-source`` prints the
-    generated Python.
+    generated Python, ``--profile`` times that same source node by node
+    (:mod:`repro.codegen.profile`).
 ``tune MODEL``
     Search compiler configurations (SDA cost weights, unroll seeds,
     partition budget) against simulated cycles; ``--json`` writes the
@@ -472,6 +473,11 @@ def _build_parser() -> argparse.ArgumentParser:
     codegen_p.add_argument(
         "--dump-source", action="store_true",
         help="print the emitted Python source",
+    )
+    codegen_p.add_argument(
+        "--profile", action="store_true",
+        help="time the same emitted source node by node at batch 1 "
+        "and print median ms per op type and the ten slowest nodes",
     )
 
     serve_p = sub.add_parser(
@@ -918,10 +924,43 @@ def _cmd_codegen(args) -> int:
         f"parity:       OK ({parity['samples']} samples, "
         f"{parity['outputs']} outputs bit-identical)"
     )
+    if args.profile:
+        _print_codegen_profile(emitted, feeds_list[:1])
     if args.dump_source:
         print()
         print(emitted.source)
     return 0
+
+
+def _print_codegen_profile(emitted, feeds_list) -> None:
+    """Where one request's time goes inside the emitted function."""
+    from repro.codegen.profile import profile_emitted
+
+    report = profile_emitted(emitted, feeds_list)
+    timed = report["timed_ms"]
+    print(
+        f"request:      {report['untimed_ms']:.1f} ms (batch "
+        f"{report['batch']}, median of {report['calls']} calls; "
+        f"{timed:.1f} ms with the per-node clock reads)"
+    )
+    print()
+    by_op = sorted(
+        report["by_op"].items(), key=lambda item: -item[1]["ms"]
+    )
+    harness.print_rows(
+        "emitted code by op type",
+        [
+            {
+                "op": op,
+                "nodes": entry["nodes"],
+                "ms": entry["ms"],
+                "share": f"{100.0 * entry['ms'] / timed:.1f}%",
+            }
+            for op, entry in by_op
+        ],
+    )
+    slowest = sorted(report["nodes"], key=lambda row: -row["ms"])[:10]
+    harness.print_rows("ten slowest nodes", slowest)
 
 
 def _cmd_tune_show(args) -> int:

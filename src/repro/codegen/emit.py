@@ -34,6 +34,33 @@ transposes that move axis 0, ...) fall back to per-sample calls of the
 interpreter's own bound methods inside the emitted code — slower, but
 identical by construction.
 
+**Layouts are fixed at emit time too.**  The paper's rule is that no
+operator pays a layout transformation it does not need, and the emitter
+knows every shape, so the convolutions it emits pay none: a BLAS-route
+quantized ``Conv2D`` (``kernel_mac_limit == 0``, what ``repro serve``
+runs) is channel-major — ``Wt (OC, K) @ P (K, OH*OW)`` per sample,
+written straight into the NCHW output, with ``P`` a reshape of the
+quantized input for a 1x1 kernel and one gather through a *plan* for
+k x k — and ``DepthwiseConv2D`` gathers its windows through the same
+kind of plan.  A plan is an ``intp`` index array built once per
+emission per ``(Hp, Wp, kernel, stride)`` and frozen
+(``flags.writeable = False``): the engine is re-entrant, so everything
+the emitted module shares between calls is read-only, and all scratch
+is allocated per call.  The integer accumulation is exact in float64,
+so the channel-major product *is* the interpreter's accumulator,
+transposed; what follows it (dequantise, fused activation) runs the
+reference's own ufunc sequence in place.
+
+**Bits depend on values, not strides.**  The interpreter's conv returns
+a transposed view where the emitted one returns a contiguous array, and
+numpy reductions (pairwise over a contiguous axis, sequential over a
+strided one) and BLAS kernels (chosen by operand orientation) can tell
+the difference in the last ulp.  Every order-sensitive template here
+therefore reads ``np.ascontiguousarray`` of its operand, exactly as
+:meth:`repro.graph.execute.ReferenceExecutor._apply` does — a no-op on
+contiguous input — so a node's output is a function of its inputs'
+values alone.
+
 Intermediates are plain numpy temporaries, dropped at their last use
 (:mod:`repro.absint.liveness`).
 
@@ -139,6 +166,8 @@ class _Emitter:
             "_im2col": _im2col_fast,
             "_dw": _depthwise_fast,
             "_qc": _quantize_chunked,
+            "_qlv": _quantize_levels,
+            "_patches": _gather_patches,
             "_ref_eval": executor.reference._eval,
             "_qcompute": executor._quantized_compute,
             "_qaddsub": executor._quantized_addsub,
@@ -153,6 +182,9 @@ class _Emitter:
         self.forms: Dict[int, Dict[str, str]] = {}
         self.stacked_nodes = 0
         self.sample_nodes = 0
+        #: (Hp, Wp, kernel, stride, taps_last) -> const name of the
+        #: read-only gather index for that geometry.
+        self._plans: Dict[tuple, str] = {}
 
     # -- source assembly ---------------------------------------------------
 
@@ -276,7 +308,7 @@ class _Emitter:
             self._emit_float(node, feedful=False)
             return
         if isinstance(op, (ops.Add, ops.Sub)) and len(node.inputs) == 2:
-            if leading_one:
+            if leading_one and self._same_rank(node):
                 self._emit_qaddsub(node)
             else:
                 self._emit_qaddsub_sample(node)
@@ -288,6 +320,14 @@ class _Emitter:
                 self._emit_qrelu_sample(node)
             return
         self._emit_float(node, feedful=True)
+
+    def _same_rank(self, node) -> bool:
+        """Whether stacking keeps a broadcasting node's operands
+        aligned: a lower-rank operand (a ``(1,)`` scale constant)
+        stacks to ``(batch,)``, which numpy would line up with the
+        *last* axis instead of the batch axis."""
+        rank = len(node.output_shape)
+        return all(len(self.shape(i)) == rank for i in node.inputs)
 
     # -- inputs and constants ----------------------------------------------
 
@@ -442,101 +482,102 @@ class _Emitter:
         k = int(op.kernel[0] * op.kernel[1] * in_shape[1])
         b_q, b_params = self._weight_consts(node, "w0", (k, op.out_channels))
         a_params = self.calibration.params(node.inputs[0])
-        bq_name = self.const("wq", b_q)
         qa = self.const("qa", a_params)
         sc = self.const("sc", a_params.scale * b_params.scale)
         x = self.stacked_var(node.inputs[0])
         _, oc, oh, ow = (int(d) for d in node.output_shape)
-        # Quantize *before* im2col: quantization is elementwise and
-        # maps the padding value 0.0 to level 0, so the int8 patch
-        # matrix is bit-identical to quantizing the float patch matrix
-        # — at an eighth of the copy bandwidth and a kh*kw-th of the
-        # rounding work.
         var = f"v{nid}s"
-        act = (
-            self.const("act", _ACTIVATIONS[op.fused_activation])
-            if op.fused_activation
-            else None
-        )
-        if (
-            self.kernel_mac_limit == 0
-            and 127 * 127 * k < 2**31
-            and oc * oh * ow >= 50_000
-        ):
-            # Fuse the whole conv pipeline per sample on the pure-BLAS
-            # path: quantize, patch-gather, GEMM and dequant all touch
-            # one sample's working set before moving on, instead of
-            # streaming four full-batch arrays through memory.  Each
-            # stage is row-independent (GEMM rows included — the frozen
-            # per-sample executor and the stacked engine already prove
-            # M-invariance), so the bits match the stacked form.
-            bqf_name = self.const("wqf", b_q.astype(np.float64))
-            self.line(f"out = np.empty((batch, {oc}, {oh}, {ow}))")
-            self.line("for _s in range(batch):")
-            self.line(
-                f"    aq = _im2col({qa}.quantize({x}[_s:_s+1]), "
-                f"{tuple(op.kernel)}, {tuple(op.stride)}, "
-                f"{tuple(op.padding)}).reshape(-1, {k})"
-            )
-            self.line("    _rows += aq.shape[0]")
-            self.line(f"    acc = aq.astype(np.float64) @ {bqf_name}")
-            self.line(
-                f"    _o = (acc * {sc})"
-                f".reshape({oh}, {ow}, {oc}).transpose(2, 0, 1)"
-            )
-            if act is not None:
-                self.line(f"    out[_s] = {act}(_o)")
-            else:
-                self.line("    out[_s] = _o")
-            self.line(f"{var} = out")
-            self.set_stacked(nid, var)
-            self.stacked_nodes += 1
-            return
-        quant = (
-            f"_qc({qa}, {x})"
-            if _elems(in_shape) >= 50_000
-            else f"{qa}.quantize({x})"
-        )
-        self.line(
-            f"aq = _im2col({quant}, {tuple(op.kernel)}, "
-            f"{tuple(op.stride)}, {tuple(op.padding)}).reshape(-1, {k})"
-        )
-        self.line("_rows += aq.shape[0]")
-        f64 = self._emit_gemm_core(
-            node, plan, "aq", bq_name, k * int(op.out_channels), depth=k
-        )
-        accf = "acc" if f64 else "acc.astype(np.float64)"
-        if oc * oh * ow >= 50_000:
-            # Chunk the dequant/layout/activation tail per sample: the
-            # per-sample slice stays cache-resident across its passes,
-            # where the stacked tail walks a multi-megabyte array once
-            # per ufunc.  Dequant, transpose and activation are all
-            # elementwise or pure movement — slice-exact, identical
-            # bits to the stacked form.
-            self.line(f"acc = acc.reshape(batch, {oh * ow}, {oc})")
-            self.line(f"out = np.empty((batch, {oc}, {oh}, {ow}))")
-            self.line("for _s in range(batch):")
-            inner_acc = "acc[_s]" if f64 else "acc[_s].astype(np.float64)"
-            self.line(
-                f"    _o = ({inner_acc} * {sc})"
-                f".reshape({oh}, {ow}, {oc}).transpose(2, 0, 1)"
-            )
-            if act is not None:
-                self.line(f"    out[_s] = {act}(_o)")
-            else:
-                self.line("    out[_s] = _o")
-            self.line(f"{var} = out")
+        if self.kernel_mac_limit == 0:
+            self._emit_conv_channel_major(node, x, qa, b_q, sc)
         else:
-            self.line(f"out = {accf} * {sc}")
+            # The instruction kernels take row-major (pixels, K) int8
+            # operands, so these routes (tests, `repro verify`) keep
+            # the interpreter's im2col orientation and its tail.
+            # Quantizing *before* im2col is exact: quantization is
+            # elementwise and maps the padding value 0.0 to level 0.
+            bq_name = self.const("wq", b_q)
+            self.line(
+                f"aq = _im2col({qa}.quantize({x}), {tuple(op.kernel)}, "
+                f"{tuple(op.stride)}, {tuple(op.padding)}).reshape(-1, {k})"
+            )
+            self.line("_rows += aq.shape[0]")
+            self._emit_gemm_core(
+                node, plan, "aq", bq_name, k * int(op.out_channels)
+            )
+            self.line(f"out = acc.astype(np.float64) * {sc}")
             self.line(
                 f"out = out.reshape(batch, {oh}, {ow}, {oc})"
                 f".transpose(0, 3, 1, 2)"
             )
-            if act is not None:
+            if op.fused_activation:
+                act = self.const("act", _ACTIVATIONS[op.fused_activation])
                 self.line(f"out = {act}(out)")
-            self.line(f"{var} = out")
+        self.line(f"{var} = out")
         self.set_stacked(nid, var)
         self.stacked_nodes += 1
+
+    def _emit_conv_channel_major(self, node, x, qa, b_q, sc) -> None:
+        """The BLAS-route conv: ``Wt (OC, K) @ P (K, OH*OW)`` per sample,
+        written straight into the NCHW output.
+
+        ``P`` holds one sample's quantized levels as float64 — for a
+        1x1 kernel a reshape (a slice, when strided) of the quantized
+        NCHW input, otherwise one gather through the geometry's
+        emission-time plan in ``(c, i, j)`` row order, the weight
+        matrix's own K order.  int8 x int8 sums are exact integers in
+        float64 (|acc| <= 128 * 127 * K, far below 2**53), so neither
+        the operand orientation nor the per-sample grouping can change
+        a bit of the accumulator: it is the interpreter's, transposed.
+        Dequantisation and the fused activation run in place on the
+        output slice with the reference's own ufunc sequence, so the
+        layout the consumer reads is the layout the GEMM wrote — no
+        NCHW->NHWC->NCHW round trip.
+        """
+        op = node.op
+        oc, oh, ow = (int(d) for d in node.output_shape[1:])
+        c, h, w = (int(d) for d in self.shape(node.inputs[0])[1:])
+        kernel, stride, padding = (
+            tuple(op.kernel), tuple(op.stride), tuple(op.padding)
+        )
+        # A transposed view of the widened levels: BLAS takes the
+        # orientation as a flag, and exact sums make it irrelevant.
+        wt = self.const("wt", b_q.astype(np.float64).T)
+        self.line(f"out = np.empty((batch, {oc}, {oh}, {ow}))")
+        self.line("for _s in range(batch):")
+        lv = f"_qlv({qa}, {x}[_s])"
+        if kernel == (1, 1) and padding == (0, 0):
+            if stride != (1, 1):
+                lv += f"[:, ::{stride[0]}, ::{stride[1]}]"
+            self.line(f"    _p = {lv}.reshape({c}, -1)")
+        else:
+            idx = self._gather_plan(
+                h + 2 * padding[0], w + 2 * padding[1], kernel, stride,
+                taps_last=False,
+            )
+            self.line(f"    _p = _patches({lv}, {idx}, {padding})")
+        self.line(f"    _o = out[_s].reshape({oc}, -1)")
+        self.line(f"    np.matmul({wt}, _p, out=_o)")
+        if 128 * 127 * b_q.shape[0] >= 2**31:
+            # The interpreter narrows its accumulator to int32; past
+            # this depth that cast can wrap, so reproduce it.
+            self.line("    _o[...] = _o.astype(np.int32)")
+        self.line(f"    np.multiply(_o, {sc}, out=_o)")
+        if op.fused_activation:
+            act = self.const(
+                "act", _ACTIVATIONS_INPLACE[op.fused_activation]
+            )
+            self.line(f"    {act}(_o)")
+        self.line(f"_rows += batch * {oh * ow}")
+
+    def _gather_plan(self, hp, wp, kernel, stride, *, taps_last) -> str:
+        """The hoisted window-gather index of one conv geometry,
+        built once per emission and shared by every node that has it."""
+        key = (hp, wp, kernel, stride, taps_last)
+        if key not in self._plans:
+            self._plans[key] = self.const(
+                "idx", _window_index(hp, wp, kernel, stride, taps_last)
+            )
+        return self._plans[key]
 
     def _emit_qcompute_sample(self, node, plan) -> None:
         """Per-sample fall-through to the interpreter's own quantized
@@ -760,6 +801,9 @@ class _Emitter:
                 "(_x + 0.044715 * _x**3)))"
             )
         elif isinstance(op, ops.Softmax):
+            # The one reduction here: canonical operand, as in the
+            # stacked Softmax template.
+            self.line("    _x = np.ascontiguousarray(_x)")
             self.line("    _t = _x - _x.max(axis=-1, keepdims=True)")
             self.line("    _e = np.exp(_t)")
             self.line("    out[_s] = _e / _e.sum(axis=-1, keepdims=True)")
@@ -780,18 +824,25 @@ class _Emitter:
         per-sample leading 1 widened to the batch axis.
         """
         g = self.stacked_var  # emits conversions as a side effect
+
+        def gc(node_id: int) -> str:
+            # Order-sensitive templates read C-contiguous operands, as
+            # `ReferenceExecutor._apply` does: bits depend on values,
+            # not on the producer's strides.
+            return f"np.ascontiguousarray({g(node_id)})"
+
         if isinstance(op, ops.Conv2D):
             return self._float_conv(node, op, in_shapes)
         if isinstance(op, ops.DepthwiseConv2D):
             return self._float_depthwise(node, op, in_shapes, out_shape)
         if isinstance(op, ops.MatMul):
-            a = g(node.inputs[0])
+            a = gc(node.inputs[0])
             if op.weight_shape is not None:
                 w = self.executor.reference._weight(node, "w", op.weight_shape)
                 if op.transpose_b:
                     w = np.swapaxes(w, -1, -2)
                 return f"{a} @ {self.const('w', w)}"
-            b = g(node.inputs[1])
+            b = gc(node.inputs[1])
             if op.transpose_b:
                 b = f"np.swapaxes({b}, -1, -2)"
             return f"{a} @ {b}"
@@ -804,6 +855,10 @@ class _Emitter:
                 f"{g(node.inputs[0])}.reshape(batch, -1) @ "
                 f"{self.const('w', w)}"
             )
+        if isinstance(
+            op, (ops.Add, ops.Sub, ops.Mul, ops.Div)
+        ) and not self._same_rank(node):
+            return None
         if isinstance(op, ops.Add):
             return " + ".join(g(i) for i in node.inputs)
         if isinstance(op, ops.Sub):
@@ -834,16 +889,16 @@ class _Emitter:
                 f"({x} + 0.044715 * {x}**3)))"
             )
         if isinstance(op, ops.Softmax):
-            x = g(node.inputs[0])
-            self.line(f"t = {x} - {x}.max(axis=-1, keepdims=True)")
+            self.line(f"xc = {gc(node.inputs[0])}")
+            self.line("t = xc - xc.max(axis=-1, keepdims=True)")
             self.line("e = np.exp(t)")
             return "e / e.sum(axis=-1, keepdims=True)"
         if isinstance(op, (ops.LayerNorm, ops.InstanceNorm)):
             axes = "(-1,)" if isinstance(op, ops.LayerNorm) else "(-2, -1)"
-            x = g(node.inputs[0])
-            self.line(f"m = {x}.mean(axis={axes}, keepdims=True)")
-            self.line(f"vr = {x}.var(axis={axes}, keepdims=True)")
-            return f"({x} - m) / np.sqrt(vr + 1e-5)"
+            self.line(f"xc = {gc(node.inputs[0])}")
+            self.line(f"m = xc.mean(axis={axes}, keepdims=True)")
+            self.line(f"vr = xc.var(axis={axes}, keepdims=True)")
+            return "(xc - m) / np.sqrt(vr + 1e-5)"
         if isinstance(op, (ops.MaxPool2D, ops.AvgPool2D)):
             x = g(node.inputs[0])
             c = int(in_shapes[0][1])
@@ -859,14 +914,14 @@ class _Emitter:
             )
             return f"{fn}(cols, axis=-1).transpose(0, 3, 1, 2)"
         if isinstance(op, ops.GlobalAvgPool):
-            return f"{g(node.inputs[0])}.mean(axis=(2, 3), keepdims=True)"
+            return f"{gc(node.inputs[0])}.mean(axis=(2, 3), keepdims=True)"
         if isinstance(op, ops.ReduceMean):
             ndim = len(in_shapes[0])
             axes = op.axis if isinstance(op.axis, tuple) else (op.axis,)
             if any(a % ndim == 0 for a in axes):
                 return None
             return (
-                f"{g(node.inputs[0])}.mean(axis={op.axis!r}, keepdims=True)"
+                f"{gc(node.inputs[0])}.mean(axis={op.axis!r}, keepdims=True)"
             )
         if isinstance(op, ops.Resize2D):
             x = g(node.inputs[0])
@@ -947,8 +1002,9 @@ class _Emitter:
 
     def _float_depthwise(self, node, op, in_shapes, out_shape) -> str:
         x = self.stacked_var(node.inputs[0])
-        c = int(in_shapes[0][1])
+        c, h, w_in = (int(d) for d in in_shapes[0][1:])
         kh, kw = op.kernel
+        ph, pw = op.padding
         w = self.executor.reference._weight(
             node, "w", (c, kh * kw, op.multiplier)
         )
@@ -956,14 +1012,19 @@ class _Emitter:
         # helper contracts the window axes (i, j) directly, which is
         # the same k = i*kw + j order the reference einsum reduces in.
         wname = self.const("w", np.ascontiguousarray(w.reshape(c, kh, kw, op.multiplier)))
+        idx = self._gather_plan(
+            h + 2 * ph, w_in + 2 * pw, tuple(op.kernel), tuple(op.stride),
+            taps_last=True,
+        )
         actname = "None"
         if op.fused_activation:
-            actname = self.const("act", _ACTIVATIONS[op.fused_activation])
+            actname = self.const(
+                "act", _ACTIVATIONS_INPLACE[op.fused_activation]
+            )
             self._act_handled = True
         return (
-            f"_dw({x}, {wname}, {tuple(op.kernel)}, "
-            f"{tuple(op.stride)}, {tuple(op.padding)}, {op.multiplier}, "
-            f"{actname})"
+            f"_dw({x}, {wname}, {tuple(out_shape[2:])}, "
+            f"{tuple(op.padding)}, {idx}, {actname})"
         )
 
 
@@ -1015,57 +1076,157 @@ def _quantize_chunked(qp, x):
     return out
 
 
-def _depthwise_fast(x, w4, kernel, stride, padding, multiplier, act=None):
+def _relu_inplace(x) -> None:
+    np.maximum(x, 0.0, out=x)
+
+
+def _relu6_inplace(x) -> None:
+    np.clip(x, 0.0, 6.0, out=x)
+
+
+def _hardswish_inplace(x) -> None:
+    t = np.add(x, 3.0)
+    np.clip(t, 0.0, 6.0, out=t)
+    np.multiply(x, t, out=t)
+    np.divide(t, 6.0, out=x)
+
+
+def _sigmoid_inplace(x) -> None:
+    t = np.negative(x)
+    np.exp(t, out=t)
+    np.add(1.0, t, out=t)
+    np.divide(1.0, t, out=x)
+
+
+def _tanh_inplace(x) -> None:
+    np.tanh(x, out=x)
+
+
+#: ``_ACTIVATIONS`` applied in place: the same ufuncs on the same
+#: operands in the same order, so the same bits — through ``out=``
+#: and at most one temporary instead of one per ufunc.
+_ACTIVATIONS_INPLACE = {
+    "relu": _relu_inplace,
+    "relu6": _relu6_inplace,
+    "hardswish": _hardswish_inplace,
+    "sigmoid": _sigmoid_inplace,
+    "tanh": _tanh_inplace,
+}
+
+
+def _quantize_levels(qp, x):
+    """``qp.quantize(x)`` without the int8 cast: float64 levels.
+
+    The same divide / round / add / clip sequence, run in place on one
+    temporary.  The result holds integers in [-128, 127] (and no -0.0:
+    the zero-point add clears it), so it equals
+    ``params.quantize(x).astype(np.float64)`` bit for bit on every
+    non-NaN input — the form the exact float64 GEMM consumes, minus a
+    narrowing and a widening pass.
+    """
+    t = np.divide(np.asarray(x, dtype=np.float64), qp.scale)
+    np.round(t, out=t)
+    np.add(t, qp.zero_point, out=t)
+    np.clip(t, -128, 127, out=t)
+    return t
+
+
+def _window_index(hp, wp, kernel, stride, taps_last) -> np.ndarray:
+    """Gather plan of one conv geometry over a padded ``hp x wp`` plane.
+
+    Entry ``[(i, j), (y, x)]`` — or ``[(y, x), (i, j)]`` with
+    ``taps_last`` — is the flat offset of tap ``(i, j)`` of output
+    pixel ``(y, x)``.  The plane is per channel, so one plan serves
+    any channel count; it is built at emission and frozen, because
+    every concurrent ``run_batch`` call reads the same array.
+    """
+    kh, kw = kernel
+    sh, sw = stride
+    oh = (hp - kh) // sh + 1
+    ow = (wp - kw) // sw + 1
+    pixels = (
+        (np.arange(oh) * (sh * wp))[:, None] + np.arange(ow) * sw
+    ).reshape(-1)
+    taps = ((np.arange(kh) * wp)[:, None] + np.arange(kw)).reshape(-1)
+    if taps_last:
+        index = pixels[:, None] + taps[None, :]
+    else:
+        index = taps[:, None] + pixels[None, :]
+    index = np.ascontiguousarray(index, dtype=np.intp)
+    index.flags.writeable = False
+    return index
+
+
+def _pad_planes(x, padding):
+    """Zero-pad the two trailing axes of one ``(c, h, w)`` sample
+    (``np.pad``'s generality costs 0.1-0.2 ms a call on the small
+    planes of a mobile CNN's tail — sixteen calls a request)."""
+    ph, pw = padding
+    if not (ph or pw):
+        return x
+    c, h, w = x.shape
+    padded = np.zeros((c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    padded[:, ph : ph + h, pw : pw + w] = x
+    return padded
+
+
+def _gather_patches(levels, index, padding):
+    """One sample's ``(C, H, W)`` levels -> the ``(C*kh*kw, OH*OW)``
+    patch matrix, rows in ``(c, i, j)`` order: a single gather through
+    the geometry's plan (pure movement; padding contributes level 0,
+    as it does when the interpreter quantizes a padded patch)."""
+    planes = _pad_planes(levels, padding)
+    cols = np.take(
+        planes.reshape(planes.shape[0], -1), index, axis=1, mode="clip"
+    )
+    return cols.reshape(-1, index.shape[1])
+
+
+def _depthwise_fast(x, w4, out_hw, padding, index, act=None):
     """Bit-identical fast depthwise conv for emitted executors.
 
     The reference implementation scatter-builds an ``(n, oh, ow, c, k)``
-    patch matrix and einsums it down.  This version copies the sliding
-    windows in their *natural* ``(n, c, oh, ow, kh, kw)`` memory order
-    (a far cheaper gather) and lets einsum's index remapping produce
-    NCHW output directly.  The contraction still runs einsum's
-    contiguous-k inner kernel over the taps in the same ``i*kw + j``
-    order, so every output element sees the identical sequence of
-    multiply-adds — byte-identical results, measured 2-4x faster.
+    patch matrix and einsums it down.  This version gathers each
+    channel block's windows, k-contiguous, through the geometry's
+    emission-time plan (``index``, in ``taps_last`` order) and lets
+    einsum's index remapping produce NCHW output directly.  The
+    contraction still runs einsum's contiguous-k inner kernel over the
+    taps in the same ``i*kw + j`` order, so every output element sees
+    the identical sequence of multiply-adds — byte-identical results.
 
     The gather and the contraction both walk the batch one sample at a
-    time and the channels in blocks sized to a reused ~256KB buffer:
-    the window copy never leaves cache before einsum consumes it, so
+    time and the channels in blocks sized to a ~256KB scratch buffer
+    (allocated per call: concurrent calls share nothing mutable): the
+    gathered windows never leave cache before einsum consumes them, so
     the patch matrix costs one pass of DRAM traffic instead of two.
     Channel blocks only shrink the outer loop of the contraction — the
     per-element tap dot is untouched, so the result stays
-    byte-identical.
+    byte-identical.  ``act`` is an ``_ACTIVATIONS_INPLACE`` entry.
     """
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = padding
     n, c = x.shape[:2]
-    oh = (x.shape[2] + 2 * ph - kh) // sh + 1
-    ow = (x.shape[3] + 2 * pw - kw) // sw + 1
+    _, kh, kw, multiplier = w4.shape
+    oh, ow = out_hw
     out = np.empty((n, c * multiplier, oh, ow))
     per_ch = oh * ow * kh * kw * 8
     cb = max(1, min(c, 262144 // per_ch))
-    buf = np.empty((1, cb, oh, ow, kh, kw))
+    buf = np.empty((cb, oh * ow, kh * kw))
     for s in range(n):
-        xs = x[s : s + 1]
-        if ph or pw:
-            xs = np.pad(xs, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-        win = sliding_window_view(xs, (kh, kw), axis=(2, 3))[
-            :, :, ::sh, ::sw
-        ]
+        planes = _pad_planes(x[s], padding).reshape(c, -1)
         slot = out[s : s + 1].reshape(1, c, multiplier, oh, ow)
         for c0 in range(0, c, cb):
             c1 = min(c0 + cb, c)
-            cols = buf[:, : c1 - c0]
-            np.copyto(cols, win[:, c0:c1])
+            cols = buf[: c1 - c0]
+            np.take(planes[c0:c1], index, axis=1, out=cols, mode="clip")
             np.einsum(
-                "nchwij,cijm->ncmhw", cols, w4[c0:c1], out=slot[:, c0:c1]
+                "nchwij,cijm->ncmhw",
+                cols.reshape(1, c1 - c0, oh, ow, kh, kw),
+                w4[c0:c1],
+                out=slot[:, c0:c1],
             )
         if act is not None:
             # Fused activation applied while the sample is still
             # cache-resident; elementwise, so slice-exact.
-            slot[...] = act(slot)
+            act(slot)
     return out
 
 

@@ -95,6 +95,20 @@ class ReferenceExecutor:
         return result
 
     def _apply(self, node, op, inputs, feeds):
+        """One operator's float semantics.
+
+        A node's bits are a function of its inputs' *values*, never
+        their strides: numpy sums a contiguous axis pairwise and a
+        strided one sequentially, and BLAS picks its kernel by operand
+        orientation, so every order-sensitive operator (reductions,
+        normalisations, float products) reads a C-contiguous copy of
+        its operands — a no-op when they already are.  That is what
+        lets the emitted executor (:mod:`repro.codegen.emit`) hand a
+        consumer a contiguous array where the interpreter hands it a
+        transposed view and still match bit for bit.
+        """
+        if isinstance(op, _ORDER_SENSITIVE):
+            inputs = [np.ascontiguousarray(x) for x in inputs]
         if isinstance(op, ops.Input):
             if node.name in feeds:
                 value = np.asarray(feeds[node.name], dtype=np.float64)
@@ -279,6 +293,20 @@ class ReferenceExecutor:
         kh, kw = op.kernel
         cols = cols.reshape(n, oh, ow, c, kh * kw)
         return reduce_fn(cols, axis=-1).transpose(0, 3, 1, 2)
+
+
+#: Operators whose float result depends on the order their operands'
+#: elements are visited in; :meth:`ReferenceExecutor._apply` hands them
+#: C-contiguous operands (see its docstring).
+_ORDER_SENSITIVE = (
+    ops.GlobalAvgPool,
+    ops.ReduceMean,
+    ops.Softmax,
+    ops.LayerNorm,
+    ops.InstanceNorm,
+    ops.BatchNorm,
+    ops.MatMul,
+)
 
 
 _ACTIVATIONS = {
