@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,6 +31,7 @@ from repro.machine.description import MachineDescription, resolve_machine
 from repro.machine.packet import Packet
 from repro.machine.pipeline import schedule_cycles
 from repro.cache.fingerprint import CACHE_SCHEMA_VERSION, schema_hash
+from repro.store import write_atomic
 
 _MachineArg = Optional[Union[str, MachineDescription]]
 
@@ -237,7 +237,8 @@ class DiskStore:
             return ScheduleEntry.from_payload(payload, self.machine)
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, CacheEntryError, OSError):
+        except (ValueError, CacheEntryError, OSError):
+            # ValueError: not JSON, or not even UTF-8.
             try:
                 path.unlink(missing_ok=True)
             except OSError:
@@ -257,16 +258,7 @@ class DiskStore:
             )
             if self.write_hook is not None:
                 self.write_hook(self.path_for(fingerprint), payload)
-            fd, tmp = tempfile.mkstemp(
-                dir=self.schema_dir, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(payload)
-                os.replace(tmp, self.path_for(fingerprint))
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+            write_atomic(self.path_for(fingerprint), payload)
             return True
         except OSError:
             return False

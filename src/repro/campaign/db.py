@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.campaign.spec import CampaignSpec
 from repro.errors import CampaignError
-from repro.store import append_lines
+from repro.store import append_lines, read_json_lines
 from repro.tune.db import default_tune_dir
 
 #: Cell lifecycle states (``pending`` is the absence of any event).
@@ -113,23 +113,9 @@ class CampaignDB:
 
     def events(self) -> List[Dict]:
         """All readable events in append order; corrupt lines skipped."""
-        self.skipped_lines = 0
-        if not self.path.is_file():
-            return []
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return []
+        events, self.skipped_lines = read_json_lines(self.path)
         out: List[Dict] = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                self.skipped_lines += 1
-                continue
+        for event in events:
             if (
                 not isinstance(event, dict)
                 or event.get("event") not in EVENTS

@@ -466,11 +466,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="parity-gate batch size (default: 4)",
     )
     codegen_p.add_argument(
-        "--kernel-mac-limit", type=int, default=0,
-        help="GEMM routing threshold passed to the engine (default: 0 "
-        "= always the exact BLAS path)",
-    )
-    codegen_p.add_argument(
         "--dump-source", action="store_true",
         help="print the emitted Python source",
     )
@@ -890,9 +885,7 @@ def _cmd_codegen(args) -> int:
 
     graph = _resolve_graph(args.model)
     compiled = GCD2Compiler(CompilerOptions()).compile(graph)
-    engine = InferenceEngine(
-        compiled, kernel_mac_limit=args.kernel_mac_limit
-    )
+    engine = InferenceEngine(compiled)
     feeds_list = example_feeds(compiled.graph, count=args.requests)
     engine.calibrate(example_feeds(compiled.graph, count=2, seed=99))
     emitted = engine.emitted()

@@ -34,11 +34,17 @@ transposes that move axis 0, ...) fall back to per-sample calls of the
 interpreter's own bound methods inside the emitted code — slower, but
 identical by construction.
 
+**One GEMM route.**  Every quantized GEMM is emitted as the exact
+float64 BLAS product of the int8 levels; the simulated instruction
+kernels are an option of ``QuantizedExecutor`` alone, never of the
+emitter.  int8 x int8 sums are exact integers on both, so an emitted
+product gated against an instruction-kernel reference is the stronger
+check, and a routing knob in the serving stack would select nothing.
+
 **Layouts are fixed at emit time too.**  The paper's rule is that no
 operator pays a layout transformation it does not need, and the emitter
-knows every shape, so the convolutions it emits pay none: a BLAS-route
-quantized ``Conv2D`` (``kernel_mac_limit == 0``, what ``repro serve``
-runs) is channel-major — ``Wt (OC, K) @ P (K, OH*OW)`` per sample,
+knows every shape, so the convolutions it emits pay none: a quantized
+``Conv2D`` is channel-major — ``Wt (OC, K) @ P (K, OH*OW)`` per sample,
 written straight into the NCHW output, with ``P`` a reshape of the
 quantized input for a 1x1 kernel and one gather through a *plan* for
 k x k — and ``DepthwiseConv2D`` gathers its windows through the same
@@ -145,19 +151,11 @@ class EmittedExecutor:
 class _Emitter:
     """Builds the straight-line source for one compiled model."""
 
-    def __init__(
-        self,
-        compiled,
-        calibration,
-        executor,
-        *,
-        kernel_mac_limit: Optional[int],
-    ) -> None:
+    def __init__(self, compiled, calibration, executor) -> None:
         self.compiled = compiled
         self.graph = compiled.graph
         self.calibration = calibration
         self.executor = executor
-        self.kernel_mac_limit = kernel_mac_limit
         self.liveness = tensor_liveness(self.graph)
         self.plans = {cn.node.node_id: cn.plan for cn in compiled.nodes}
         self.lines: List[str] = []
@@ -175,7 +173,6 @@ class _Emitter:
             "_vmax": semantics.vmax,
             "_vasr": semantics.vasr,
             "_sat8": semantics.saturate_to_int8,
-            "_mm32": None,  # filled lazily to avoid the import when unused
         }
         self._counter = 0
         #: node_id -> {"list": varname} / {"stacked": varname}
@@ -284,7 +281,7 @@ class _Emitter:
         ):
             if isinstance(op, ops.MatMul) and op.weight_shape is not None:
                 if leading_one and len(op.weight_shape) == 2:
-                    self._emit_qgemm_matmul(node, plan)
+                    self._emit_qgemm_matmul(node)
                 else:
                     self._emit_qcompute_sample(node, plan)
                 return
@@ -293,13 +290,13 @@ class _Emitter:
                 return
             if isinstance(op, ops.Dense):
                 if leading_one:
-                    self._emit_qgemm_dense(node, plan)
+                    self._emit_qgemm_dense(node)
                 else:
                     self._emit_qcompute_sample(node, plan)
                 return
             if isinstance(op, ops.Conv2D) and op.groups == 1:
                 if leading_one:
-                    self._emit_qgemm_conv(node, plan)
+                    self._emit_qgemm_conv(node)
                 else:
                     self._emit_qcompute_sample(node, plan)
                 return
@@ -360,67 +357,29 @@ class _Emitter:
         b_q = self.executor._levels_for_weight(node, b_params, b_float)
         return b_q, b_params
 
-    def _emit_gemm_core(
-        self,
-        node,
-        plan,
-        aq_var: str,
-        bq_name: str,
-        inner: int,
-        depth: int = 0,
-    ) -> bool:
-        """The `_gemm_levels` integer core with the limit branch resolved
-        at emit time where possible.
+    def _emit_gemm_core(self, aq_var: str, bq_name: str, depth: int) -> bool:
+        """The `_gemm_levels` integer core as the exact BLAS product.
 
         Returns True when the emitted ``acc`` is float64 (exact integer
         values) rather than int32, letting callers skip the widening
         cast in the dequant tail."""
-        kml = self.kernel_mac_limit
-        if kml == 0 or (kml is not None and kml > 0):
-            # The weight operand of the BLAS path is loop-invariant:
-            # hoist its float64 form once at emit time instead of
-            # re-widening the int8 levels every batch.
-            bqf_name = self.const(
-                "wqf", self.ns[bq_name].astype(np.float64)
-            )
-        else:
-            bqf_name = bq_name
-        blas = (
-            f"acc = ({aq_var}.astype(np.float64) @ "
-            f"{bqf_name}).astype(np.int32)"
-        )
-        if kml is None:
-            if self.ns.get("_mm32") is None:
-                from repro.codegen.matmul import matmul_int32
-
-                self.ns["_mm32"] = matmul_int32
-            instr = self.const("op", plan.instruction)
-            self.line(f"acc = _mm32({aq_var}, {bq_name}, {instr})")
-        elif kml == 0:
-            # When the exact integer accumulator provably fits int32
-            # (|acc| <= 127*127*depth < 2**31), the
-            # float64 -> int32 -> float64 round-trip in the dequant
-            # tail is the identity on values: skip both full-array
-            # casts and hand the f64 product straight to the caller.
-            if depth and 127 * 127 * depth < 2**31:
-                self.line(
-                    f"acc = {aq_var}.astype(np.float64) @ {bqf_name}"
-                )
-                return True
-            self.line(blas)
-        else:
-            if self.ns.get("_mm32") is None:
-                from repro.codegen.matmul import matmul_int32
-
-                self.ns["_mm32"] = matmul_int32
-            instr = self.const("op", plan.instruction)
-            self.line(f"if {aq_var}.shape[0] * {inner} > {kml}:")
-            self.line(f"    {blas}")
-            self.line("else:")
-            self.line(f"    acc = _mm32({aq_var}, {bq_name}, {instr})")
+        # The weight operand is loop-invariant: hoist its float64 form
+        # once at emit time instead of re-widening the int8 levels
+        # every batch.
+        bqf_name = self.const("wqf", self.ns[bq_name].astype(np.float64))
+        product = f"{aq_var}.astype(np.float64) @ {bqf_name}"
+        # When the exact integer accumulator provably fits int32
+        # (|acc| <= 127*127*depth < 2**31), the
+        # float64 -> int32 -> float64 round-trip in the dequant tail is
+        # the identity on values: skip both full-array casts and hand
+        # the f64 product straight to the caller.
+        if 127 * 127 * depth < 2**31:
+            self.line(f"acc = {product}")
+            return True
+        self.line(f"acc = ({product}).astype(np.int32)")
         return False
 
-    def _emit_qgemm_matmul(self, node, plan) -> None:
+    def _emit_qgemm_matmul(self, node) -> None:
         op = node.op
         nid = node.node_id
         b_q, b_params = self._weight_consts(
@@ -433,16 +392,13 @@ class _Emitter:
         x = self.stacked_var(node.inputs[0])
         in_shape = self.shape(node.inputs[0])
         depth = int(in_shape[-1])
-        units = int(b_q.shape[-1])
         out_tail = ", ".join(str(int(d)) for d in node.output_shape[1:])
         if _elems(in_shape) >= 50_000:
             self.line(f"aq = _qc({qa}, {x}).reshape(-1, {depth})")
         else:
             self.line(f"aq = {qa}.quantize({x}.reshape(-1, {depth}))")
         self.line("_rows += aq.shape[0]")
-        f64 = self._emit_gemm_core(
-            node, plan, "aq", bq_name, depth * units, depth=depth
-        )
+        f64 = self._emit_gemm_core("aq", bq_name, depth)
         accf = "acc" if f64 else "acc.astype(np.float64)"
         var = f"v{nid}s"
         self.line(
@@ -452,7 +408,7 @@ class _Emitter:
         self.set_stacked(nid, var)
         self.stacked_nodes += 1
 
-    def _emit_qgemm_dense(self, node, plan) -> None:
+    def _emit_qgemm_dense(self, node) -> None:
         op = node.op
         nid = node.node_id
         flat = 1
@@ -466,59 +422,16 @@ class _Emitter:
         x = self.stacked_var(node.inputs[0])
         self.line(f"aq = {qa}.quantize({x}.reshape(batch, -1))")
         self.line("_rows += aq.shape[0]")
-        f64 = self._emit_gemm_core(
-            node, plan, "aq", bq_name, flat * int(op.units), depth=flat
-        )
+        f64 = self._emit_gemm_core("aq", bq_name, flat)
         accf = "acc" if f64 else "acc.astype(np.float64)"
         var = f"v{nid}s"
         self.line(f"{var} = {accf} * {sc}")
         self.set_stacked(nid, var)
         self.stacked_nodes += 1
 
-    def _emit_qgemm_conv(self, node, plan) -> None:
-        op = node.op
-        nid = node.node_id
-        in_shape = self.shape(node.inputs[0])
-        k = int(op.kernel[0] * op.kernel[1] * in_shape[1])
-        b_q, b_params = self._weight_consts(node, "w0", (k, op.out_channels))
-        a_params = self.calibration.params(node.inputs[0])
-        qa = self.const("qa", a_params)
-        sc = self.const("sc", a_params.scale * b_params.scale)
-        x = self.stacked_var(node.inputs[0])
-        _, oc, oh, ow = (int(d) for d in node.output_shape)
-        var = f"v{nid}s"
-        if self.kernel_mac_limit == 0:
-            self._emit_conv_channel_major(node, x, qa, b_q, sc)
-        else:
-            # The instruction kernels take row-major (pixels, K) int8
-            # operands, so these routes (tests, `repro verify`) keep
-            # the interpreter's im2col orientation and its tail.
-            # Quantizing *before* im2col is exact: quantization is
-            # elementwise and maps the padding value 0.0 to level 0.
-            bq_name = self.const("wq", b_q)
-            self.line(
-                f"aq = _im2col({qa}.quantize({x}), {tuple(op.kernel)}, "
-                f"{tuple(op.stride)}, {tuple(op.padding)}).reshape(-1, {k})"
-            )
-            self.line("_rows += aq.shape[0]")
-            self._emit_gemm_core(
-                node, plan, "aq", bq_name, k * int(op.out_channels)
-            )
-            self.line(f"out = acc.astype(np.float64) * {sc}")
-            self.line(
-                f"out = out.reshape(batch, {oh}, {ow}, {oc})"
-                f".transpose(0, 3, 1, 2)"
-            )
-            if op.fused_activation:
-                act = self.const("act", _ACTIVATIONS[op.fused_activation])
-                self.line(f"out = {act}(out)")
-        self.line(f"{var} = out")
-        self.set_stacked(nid, var)
-        self.stacked_nodes += 1
-
-    def _emit_conv_channel_major(self, node, x, qa, b_q, sc) -> None:
-        """The BLAS-route conv: ``Wt (OC, K) @ P (K, OH*OW)`` per sample,
-        written straight into the NCHW output.
+    def _emit_qgemm_conv(self, node) -> None:
+        """The quantized conv, channel-major: ``Wt (OC, K) @ P (K, OH*OW)``
+        per sample, written straight into the NCHW output.
 
         ``P`` holds one sample's quantized levels as float64 — for a
         1x1 kernel a reshape (a slice, when strided) of the quantized
@@ -534,11 +447,19 @@ class _Emitter:
         NCHW->NHWC->NCHW round trip.
         """
         op = node.op
+        nid = node.node_id
         oc, oh, ow = (int(d) for d in node.output_shape[1:])
         c, h, w = (int(d) for d in self.shape(node.inputs[0])[1:])
         kernel, stride, padding = (
             tuple(op.kernel), tuple(op.stride), tuple(op.padding)
         )
+        b_q, b_params = self._weight_consts(
+            node, "w0", (kernel[0] * kernel[1] * c, op.out_channels)
+        )
+        a_params = self.calibration.params(node.inputs[0])
+        qa = self.const("qa", a_params)
+        sc = self.const("sc", a_params.scale * b_params.scale)
+        x = self.stacked_var(node.inputs[0])
         # A transposed view of the widened levels: BLAS takes the
         # orientation as a flag, and exact sums make it irrelevant.
         wt = self.const("wt", b_q.astype(np.float64).T)
@@ -568,6 +489,10 @@ class _Emitter:
             )
             self.line(f"    {act}(_o)")
         self.line(f"_rows += batch * {oh * ow}")
+        var = f"v{nid}s"
+        self.line(f"{var} = out")
+        self.set_stacked(nid, var)
+        self.stacked_nodes += 1
 
     def _gather_plan(self, hp, wp, kernel, stride, *, taps_last) -> str:
         """The hoisted window-gather index of one conv geometry,
@@ -835,26 +760,6 @@ class _Emitter:
             return self._float_conv(node, op, in_shapes)
         if isinstance(op, ops.DepthwiseConv2D):
             return self._float_depthwise(node, op, in_shapes, out_shape)
-        if isinstance(op, ops.MatMul):
-            a = gc(node.inputs[0])
-            if op.weight_shape is not None:
-                w = self.executor.reference._weight(node, "w", op.weight_shape)
-                if op.transpose_b:
-                    w = np.swapaxes(w, -1, -2)
-                return f"{a} @ {self.const('w', w)}"
-            b = gc(node.inputs[1])
-            if op.transpose_b:
-                b = f"np.swapaxes({b}, -1, -2)"
-            return f"{a} @ {b}"
-        if isinstance(op, ops.Dense):
-            flat = 1
-            for dim in in_shapes[0][1:]:
-                flat *= int(dim)
-            w = self.executor.reference._weight(node, "w", (flat, op.units))
-            return (
-                f"{g(node.inputs[0])}.reshape(batch, -1) @ "
-                f"{self.const('w', w)}"
-            )
         if isinstance(
             op, (ops.Add, ops.Sub, ops.Mul, ops.Div)
         ) and not self._same_rank(node):
@@ -1253,13 +1158,7 @@ def _make_input_fetch(node, reference):
     return fetch
 
 
-def emit_executor(
-    compiled,
-    calibration,
-    executor,
-    *,
-    kernel_mac_limit: Optional[int] = None,
-) -> EmittedExecutor:
+def emit_executor(compiled, calibration, executor) -> EmittedExecutor:
     """Emit, compile and load the specialized executor for one model.
 
     ``executor`` is the engine's reference
@@ -1275,12 +1174,7 @@ def emit_executor(
     if _EMIT_FAULT_HOOK is not None:
         _EMIT_FAULT_HOOK(compiled)
     started = time.perf_counter()
-    emitter = _Emitter(
-        compiled,
-        calibration,
-        executor,
-        kernel_mac_limit=kernel_mac_limit,
-    )
+    emitter = _Emitter(compiled, calibration, executor)
     source, namespace = emitter.emit()
     code = compile(source, f"<codegen:{compiled.graph.name}>", "exec")
     exec(code, namespace)  # noqa: S102 - our own generated source

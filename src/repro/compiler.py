@@ -350,7 +350,7 @@ class CompiledModel:
 
         Keyword arguments pass through to
         :class:`repro.runtime.engine.InferenceEngine` (``calibration``,
-        ``seed``, ``kernel_mac_limit``).
+        ``seed``).
         """
         from repro.runtime.engine import InferenceEngine
 

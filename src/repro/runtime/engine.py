@@ -15,6 +15,12 @@ serves each batch through it.  If emission fails the error latches and
 the engine serves the same batches per sample through the reference
 executor under the same calibration — bit-identical by the parity
 contract (``repro.verify.runtime`` checks exactly that), only slower.
+
+The serving stack has one GEMM route, named once, in
+:func:`serving_reference`: the exact BLAS product.  The simulated
+instruction kernels are an option of ``QuantizedExecutor`` alone; a
+parity check that wants them builds such an executor and hands it to
+``verify_engine_parity(engine, feeds, executor=...)``.
 """
 
 from __future__ import annotations
@@ -29,6 +35,25 @@ from repro.errors import SimulationError
 from repro.compiler import CompiledModel
 from repro.runtime.calibration import FrozenCalibration
 from repro.runtime.executor import QuantizedExecutor
+
+
+def serving_reference(
+    compiled: CompiledModel,
+    calibration: Optional[FrozenCalibration] = None,
+    *,
+    seed: int = 0,
+) -> QuantizedExecutor:
+    """The per-sample reference executor on the serving stack's route.
+
+    ``kernel_mac_limit=0`` sends every GEMM through the exact float64
+    product — the form the emitted code hoists.  int8 x int8 sums are
+    exact integers on both of the executor's routes, so this selects
+    speed, never bits.  The engine's reference, the pool's per-sample
+    rung and the parity gate's independent executor all come from here.
+    """
+    return QuantizedExecutor(
+        compiled, seed=seed, kernel_mac_limit=0, calibration=calibration
+    )
 
 
 @dataclass
@@ -78,12 +103,10 @@ class InferenceEngine:
         calibration: Optional[FrozenCalibration] = None,
         *,
         seed: int = 0,
-        kernel_mac_limit: Optional[int] = None,
     ) -> None:
         self.compiled = compiled
         self.calibration = calibration
         self.seed = seed
-        self.kernel_mac_limit = kernel_mac_limit
         self.diagnostics = InferenceDiagnostics()
         self._emitted = None
         self._emission_error: Optional[str] = None
@@ -98,11 +121,8 @@ class InferenceEngine:
         # The reference executor: calibrates, lends its weight caches
         # and per-sample kernels to the emitted code, and serves the
         # batches itself when emission failed.
-        self._reference = QuantizedExecutor(
-            compiled,
-            seed=seed,
-            kernel_mac_limit=kernel_mac_limit,
-            calibration=calibration,
+        self._reference = serving_reference(
+            compiled, calibration, seed=seed
         )
 
     # -- calibration -------------------------------------------------------
@@ -154,10 +174,7 @@ class InferenceEngine:
 
         try:
             self._emitted = emit_executor(
-                self.compiled,
-                self.calibration,
-                self._reference,
-                kernel_mac_limit=self.kernel_mac_limit,
+                self.compiled, self.calibration, self._reference
             )
         except Exception as exc:  # noqa: BLE001 - degradation seam
             self._emission_error = (

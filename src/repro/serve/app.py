@@ -71,6 +71,11 @@ from repro.serve.registry import (
 )
 from repro.verify.budget import Deadline
 
+#: Largest synthetic batch one ``infer`` request may ask for.  The
+#: inputs are built before the pool's admission gate is consulted, so
+#: without a bound one request can allocate the process to death.
+MAX_INFER_BATCH = 256
+
 #: Exception types the compile path treats as *transient*: worth
 #: retrying in place (with backoff) before descending the ladder.
 TRANSIENT_ERRORS = (OSError,)
@@ -127,7 +132,6 @@ class ServeConfig:
     #: HTTP thread forever.
     pool_checkout_timeout_s: float = 30.0
     pool_size: int = 2
-    kernel_mac_limit: Optional[int] = 0
     calibration_seed: int = 99
     calibration_samples: int = 2
     #: Refuse to mark a model ready when the abstract interpreter finds
@@ -474,7 +478,6 @@ class ServeService:
             pool = EnginePool(
                 compiled,
                 size=self.config.pool_size,
-                kernel_mac_limit=self.config.kernel_mac_limit,
                 checkout_timeout_s=self.config.pool_checkout_timeout_s,
                 calibration_feeds=example_feeds(
                     compiled.graph,
@@ -585,9 +588,17 @@ class ServeService:
         feeds: Optional[List[Dict]] = None,
         deadline_s: Optional[float] = None,
     ) -> Dict:
-        """Run one inference batch; synthetic feeds unless given."""
+        """Run one inference batch; synthetic feeds unless given.
+
+        ``batch`` (``1..MAX_INFER_BATCH``), ``seed`` (``>= 0``) and
+        ``deadline_s`` are validated here, at the door: a bad value is
+        a structured 400, never an exception (or an allocation) deeper
+        in.
+        """
         from repro.harness import example_feeds
 
+        batch = coerce_int(batch, "batch", lo=1, hi=MAX_INFER_BATCH)
+        seed = coerce_int(seed, "seed", lo=0)
         entry = self.registry.get(name)
         if entry.state != STATE_READY or entry.pool is None:
             raise ModelNotReadyError(
@@ -607,10 +618,6 @@ class ServeService:
         if feeds is not None:
             feeds_list = [decode_feeds(sample) for sample in feeds]
         else:
-            if batch < 1:
-                raise ServiceError(
-                    "batch must be >= 1", stage="serve"
-                )
             feeds_list = example_feeds(
                 entry.compiled.graph, count=batch, seed=seed
             )
@@ -708,19 +715,29 @@ class ServeService:
 # ---------------------------------------------------------------------------
 
 
-def coerce_int(value, field: str) -> int:
-    """A request integer, or a structured 400 — never a stray
-    ``ValueError`` that would misread as a server bug."""
+def coerce_int(
+    value, field: str, *, lo: Optional[int] = None, hi: Optional[int] = None
+) -> int:
+    """A request integer within ``[lo, hi]``, or a structured 400 —
+    never a stray ``ValueError`` that would misread as a server bug."""
     try:
         if isinstance(value, bool):
             raise ValueError
-        return int(value)
+        number = int(value)
     except (TypeError, ValueError):
         raise ServiceError(
             f"{field} must be an integer, got {value!r}",
             stage="serve",
             details={"field": field, "value": repr(value)},
         ) from None
+    if (lo is not None and number < lo) or (hi is not None and number > hi):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ServiceError(
+            f"{field} must be {bounds}, got {number}",
+            stage="serve",
+            details={"field": field, "value": repr(value)},
+        )
+    return number
 
 
 def coerce_float(value, field: str) -> float:
@@ -834,7 +851,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(http_status_for(exc), exc.to_dict(), headers)
 
     def _read_body(self) -> Dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = coerce_int(
+            self.headers.get("Content-Length") or 0, "Content-Length", lo=0
+        )
         if length == 0:
             return {}
         raw = self.rfile.read(length)
@@ -967,8 +986,8 @@ class _Handler(BaseHTTPRequestHandler):
         body = self._read_body()
         result = self.service.infer(
             name,
-            batch=coerce_int(body.get("batch", 1), "batch"),
-            seed=coerce_int(body.get("seed", 1234), "seed"),
+            batch=body.get("batch", 1),
+            seed=body.get("seed", 1234),
             feeds=body.get("feeds"),
             deadline_s=body.get("deadline_s"),
         )

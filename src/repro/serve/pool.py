@@ -19,8 +19,9 @@ parity contract — and both recorded in the response:
 * ``batched → per-sample``: ``run_batch`` raised (the chaos harness's
   ``engine_exception_mid_batch`` fault, or any real kernel bug tripped
   by one request), so the pool reruns the request through a fresh
-  executor and replaces the engine with one that has already emitted;
-  requests in flight on the old engine finish on it.
+  executor (:func:`~repro.runtime.engine.serving_reference`, the
+  engine's own route) and replaces the engine with one that has
+  already emitted; requests in flight on the old engine finish on it.
 
 Only if the per-sample path also fails does the request surface an
 error.
@@ -35,8 +36,7 @@ import numpy as np
 
 from repro.errors import AdmissionError, ServiceError
 from repro.runtime.calibration import FrozenCalibration
-from repro.runtime.engine import InferenceEngine
-from repro.runtime.executor import QuantizedExecutor
+from repro.runtime.engine import InferenceEngine, serving_reference
 from repro.verify.budget import Deadline
 
 
@@ -49,7 +49,6 @@ class EnginePool:
         *,
         size: int = 2,
         seed: int = 0,
-        kernel_mac_limit: Optional[int] = 0,
         checkout_timeout_s: float = 30.0,
         calibration_feeds: Optional[Sequence] = None,
     ) -> None:
@@ -60,7 +59,6 @@ class EnginePool:
         self.compiled = compiled
         self.size = size
         self.seed = seed
-        self.kernel_mac_limit = kernel_mac_limit
         #: Admission bound for requests without a deadline: even then a
         #: saturated pool must reject, never hang the calling thread.
         self.checkout_timeout_s = checkout_timeout_s
@@ -69,9 +67,7 @@ class EnginePool:
         #: The model's engine (also the chaos harness's seam:
         #: ``pool.engine.batch_fault_hook``).  Requests read the
         #: reference once and finish on the engine they started on.
-        self.engine = InferenceEngine(
-            compiled, seed=seed, kernel_mac_limit=kernel_mac_limit
-        )
+        self.engine = InferenceEngine(compiled, seed=seed)
         self.calibration: FrozenCalibration = self.engine.calibrate(
             list(calibration_feeds or [None])
         )
@@ -187,10 +183,7 @@ class EnginePool:
                 return  # a concurrent failure already replaced it
             try:
                 fresh = InferenceEngine(
-                    self.compiled,
-                    self.calibration,
-                    seed=self.seed,
-                    kernel_mac_limit=self.kernel_mac_limit,
+                    self.compiled, self.calibration, seed=self.seed
                 )
                 fresh.emitted()
             except Exception:  # noqa: BLE001 - keep serving
@@ -210,11 +203,8 @@ class EnginePool:
         calibration keeps the answers bit-identical to the batched
         path.
         """
-        executor = QuantizedExecutor(
-            self.compiled,
-            seed=self.seed,
-            kernel_mac_limit=self.kernel_mac_limit,
-            calibration=self.calibration,
+        executor = serving_reference(
+            self.compiled, self.calibration, seed=self.seed
         )
         outputs = []
         for index, feeds in enumerate(feeds_list):

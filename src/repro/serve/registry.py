@@ -16,8 +16,6 @@ bit-identical (same options + same cache entries → same artefact).
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -27,6 +25,7 @@ from typing import Dict, List, Optional
 from repro.compiler import CompilerOptions
 from repro.errors import GraphError, ReproError, ServiceError
 from repro.graph.graph import ComputationalGraph
+from repro.store import write_atomic
 
 #: Model lifecycle states.
 STATE_REGISTERED = "registered"
@@ -256,16 +255,9 @@ class ModelRegistry:
             }
         try:
             self.manifest_path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=str(self.manifest_path.parent), suffix=".tmp"
+            write_atomic(
+                self.manifest_path, json.dumps(payload, indent=2)
             )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(json.dumps(payload, indent=2))
-                os.replace(tmp, self.manifest_path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
             return True
         except OSError:
             return False
@@ -279,5 +271,6 @@ class ModelRegistry:
             payload = json.loads(self.manifest_path.read_text())
             models = payload.get("models", [])
             return [dict(m) for m in models if isinstance(m, dict)]
-        except (json.JSONDecodeError, OSError, AttributeError):
+        except (ValueError, OSError, AttributeError):
+            # ValueError: not JSON, or not even UTF-8.
             return []

@@ -29,7 +29,7 @@ from repro.cache.fingerprint import schema_hash as machine_schema_hash
 from repro.cache.store import default_cache_dir
 from repro.errors import TuningError
 from repro.machine.description import MachineDescription
-from repro.store import append_lines
+from repro.store import append_lines, read_json_lines
 from repro.tune.space import TrialConfig
 
 _MachineArg = Optional[Union[str, "MachineDescription"]]
@@ -195,22 +195,13 @@ class TrialDB:
         schema (stale machine model or record layout).  Corrupt lines
         are counted in ``skipped_lines`` and skipped.
         """
-        self.skipped_lines = 0
-        if not self.path.is_file():
-            return []
+        payloads, self.skipped_lines = read_json_lines(self.path)
         current = tune_schema_hash(self.machine)
         out: List[TrialRecord] = []
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
+        for payload in payloads:
             try:
-                record = TrialRecord.from_payload(json.loads(line))
-            except (json.JSONDecodeError, TuningError):
+                record = TrialRecord.from_payload(payload)
+            except TuningError:
                 self.skipped_lines += 1
                 continue
             if current_only and record.schema != current:

@@ -34,19 +34,23 @@ def verify_engine_parity(
     tolerance.  Returns ``{"samples": ..., "outputs": ...}`` on
     success.
 
+    The default independent executor takes the engine's own GEMM route
+    (:func:`repro.runtime.engine.serving_reference`).  Pass
+    ``executor=`` — a ``QuantizedExecutor`` built on the engine's
+    calibration and routed through the simulated instruction kernels —
+    to gate the emitted BLAS products against those instead: integer
+    sums are exact on both routes, so that must hold too.
+
     The check also proves the batch was served by the engine's
     *emitted* executor: a degraded engine (emission failed, per-sample
     fallback) fails the gate instead of passing on the interpreter's
     parity with itself.
     """
-    from repro.runtime.executor import QuantizedExecutor
+    from repro.runtime.engine import serving_reference
 
     if executor is None:
-        executor = QuantizedExecutor(
-            engine.compiled,
-            seed=engine.seed,
-            kernel_mac_limit=engine.kernel_mac_limit,
-            calibration=engine.calibration,
+        executor = serving_reference(
+            engine.compiled, engine.calibration, seed=engine.seed
         )
     codegen_before = engine.diagnostics.codegen_batches
     batched = engine.run_batch(feeds_list)

@@ -48,6 +48,25 @@ def assert_outputs_equal(got, want) -> None:
             assert np.array_equal(sample_got[key], sample_want[key]), key
 
 
+def kernel_reference(engine, kernel_mac_limit=None):
+    """The engine's model on the *instruction-kernel* reference route.
+
+    The serving stack emits the exact BLAS product and nothing else;
+    handing this to ``verify_engine_parity(engine, feeds, executor=...)``
+    gates it against the simulated ``vmpy``/``vmpa``/``vrmpy`` kernels
+    (``None``: every GEMM; a positive limit: GEMMs up to that many
+    MACs) under the engine's own calibration.
+    """
+    from repro.runtime import QuantizedExecutor
+
+    return QuantizedExecutor(
+        engine.compiled,
+        seed=engine.seed,
+        kernel_mac_limit=kernel_mac_limit,
+        calibration=engine.calibration,
+    )
+
+
 def small_cnn(name: str = "small_cnn", size: int = 16) -> ComputationalGraph:
     """A small but representative CNN: convs, residual, pool, dense."""
     b = GraphBuilder(name)

@@ -1,6 +1,6 @@
 """The emitted executor's convolution forms.
 
-Every BLAS-route quantized ``Conv2D`` is emitted channel-major —
+Every quantized ``Conv2D`` is emitted channel-major —
 ``Wt (OC, K) @ P (K, OH*OW)`` per sample, written straight into the
 NCHW output — and every ``DepthwiseConv2D`` gathers its windows through
 an index built once at emission.  This module pins what that form must
@@ -24,7 +24,7 @@ from repro.harness import compile_cached, example_feeds
 from repro.quant.quantize import QuantParams
 from repro.runtime import InferenceEngine
 from repro.verify.runtime import verify_engine_parity
-from tests.conftest import assert_outputs_equal
+from tests.conftest import assert_outputs_equal, kernel_reference
 
 ACTIVATIONS = ("relu", "relu6", "hardswish", "sigmoid", "tanh")
 
@@ -33,11 +33,9 @@ ACTIVATIONS = ("relu", "relu6", "hardswish", "sigmoid", "tanh")
 OLD_FORM_LINE = 50_000
 
 
-def _engine(graph, *, kernel_mac_limit=0):
+def _engine(graph):
     compiled = compile_model(graph)
-    engine = InferenceEngine(
-        compiled, seed=0, kernel_mac_limit=kernel_mac_limit
-    )
+    engine = InferenceEngine(compiled, seed=0)
     engine.calibrate(example_feeds(compiled.graph, count=2, seed=99))
     return engine
 
@@ -152,19 +150,21 @@ class TestGeometryParity:
         verify_engine_parity(engine, feeds)
 
     def test_instruction_kernel_routes_keep_parity(self):
-        # `None` always runs the instruction kernels, a positive limit
-        # decides per GEMM: both keep the row-major im2col operand.
+        # The reference on its instruction-kernel routes (`None` always
+        # runs them, a positive limit decides per GEMM) feeds the
+        # kernels a row-major im2col operand; the emitted channel-major
+        # product must be the same integers, transposed.
         b = GraphBuilder("kernel_routes")
         x = b.input((1, 3, 9, 11), name="image")
         b.relu(b.conv2d(x, 4, kernel=3, stride=2, name="c3"))
         b.conv2d(x, 4, kernel=1, padding=0, name="c1")
-        graph = b.build()
+        engine = _engine(b.build())
+        assert "_im2col(" not in engine.emitted().source
         for kernel_mac_limit in (None, 500):
-            engine = _engine(graph, kernel_mac_limit=kernel_mac_limit)
-            assert "_im2col(" in engine.emitted().source
             verify_engine_parity(
                 engine,
                 example_feeds(engine.compiled.graph, count=2, seed=7),
+                executor=kernel_reference(engine, kernel_mac_limit),
             )
 
 
@@ -327,9 +327,7 @@ class TestReentrancy:
 
 @pytest.fixture(scope="module")
 def mobilenet_engine():
-    engine = InferenceEngine(
-        compile_cached("mobilenet_v3"), seed=0, kernel_mac_limit=0
-    )
+    engine = InferenceEngine(compile_cached("mobilenet_v3"), seed=0)
     engine.calibrate(example_feeds(engine.compiled.graph, count=2, seed=99))
     return engine
 

@@ -11,10 +11,15 @@ from repro.verify.runtime import (
     RuntimeVerificationError,
     verify_engine_parity,
 )
-from tests.conftest import assert_outputs_equal, chain_graph, small_cnn
+from tests.conftest import (
+    assert_outputs_equal,
+    chain_graph,
+    kernel_reference,
+    small_cnn,
+)
 
 
-def _codegen_engine(graph, requests=4, *, kernel_mac_limit=0):
+def _codegen_engine(graph, requests=4):
     """(compiled, calibration, feeds, engine)."""
     compiled = compile_model(graph)
     executor = QuantizedExecutor(compiled, seed=0, kernel_mac_limit=0)
@@ -22,9 +27,7 @@ def _codegen_engine(graph, requests=4, *, kernel_mac_limit=0):
         example_feeds(compiled.graph, count=2, seed=99)
     )
     feeds = example_feeds(compiled.graph, count=requests, seed=7)
-    engine = InferenceEngine(
-        compiled, calibration, seed=0, kernel_mac_limit=kernel_mac_limit
-    )
+    engine = InferenceEngine(compiled, calibration, seed=0)
     return compiled, calibration, feeds, engine
 
 
@@ -63,26 +66,30 @@ class TestEmission:
         assert diag.codegen_fingerprint == engine.emitted().fingerprint
 
     def test_parity_all_modes(self):
-        # The emitter resolves the GEMM route at emit time: always BLAS
-        # (0), or a per-GEMM size test between BLAS and the instruction
-        # kernels (a positive limit; 2000 MACs splits small_cnn's GEMMs
-        # across both).  `None` — always kernels — is the next test.
+        # The emitter has one GEMM route, the exact BLAS product; the
+        # *reference* picks its own: always BLAS (0), or a per-GEMM
+        # size test between BLAS and the instruction kernels (a
+        # positive limit; 2000 MACs splits small_cnn's GEMMs across
+        # both).  `None` — always kernels — is the next test.
+        _, _, feeds, engine = _codegen_engine(small_cnn())
         for kernel_mac_limit in (0, 2_000):
-            _, _, feeds, engine = _codegen_engine(
-                small_cnn(), kernel_mac_limit=kernel_mac_limit
+            report = verify_engine_parity(
+                engine,
+                feeds,
+                executor=kernel_reference(engine, kernel_mac_limit),
             )
-            report = verify_engine_parity(engine, feeds)
             assert report["samples"] == len(feeds)
 
     def test_parity_with_instruction_kernels(self):
-        # kernel_mac_limit=None routes GEMMs through the semantic-level
-        # instruction kernels — the emitted code must follow.
+        # kernel_mac_limit=None routes every reference GEMM through the
+        # semantic-level instruction kernels — the emitted BLAS
+        # products must be those integers.
         _, _, feeds, engine = _codegen_engine(
-            chain_graph(length=4, size=8),
-            requests=2,
-            kernel_mac_limit=None,
+            chain_graph(length=4, size=8), requests=2
         )
-        verify_engine_parity(engine, feeds)
+        verify_engine_parity(
+            engine, feeds, executor=kernel_reference(engine, None)
+        )
 
 
 class TestFallback:
@@ -140,9 +147,7 @@ class TestDirectEmission:
             example_feeds(compiled.graph, count=2, seed=99)
         )
         feeds = example_feeds(compiled.graph, count=3, seed=7)
-        emitted = emit_executor(
-            compiled, calibration, executor, kernel_mac_limit=0
-        )
+        emitted = emit_executor(compiled, calibration, executor)
         outputs, rows = emitted.fn(list(feeds))
         assert rows > 0
         assert_outputs_equal(outputs, [executor.run(f) for f in feeds])

@@ -16,6 +16,7 @@ from repro.verify.runtime import verify_engine_parity
 from tests.conftest import (
     assert_outputs_equal,
     chain_graph,
+    kernel_reference,
     random_dag,
     small_cnn,
 )
@@ -48,9 +49,7 @@ def _pool(compiled, size=2):
 )
 def test_random_dag_bit_identical(seed):
     compiled, calibration, feeds = _prepared(random_dag(seed))
-    engine = InferenceEngine(
-        compiled, calibration, seed=0, kernel_mac_limit=0
-    )
+    engine = InferenceEngine(compiled, calibration, seed=0)
     report = verify_engine_parity(engine, feeds)
     assert report["outputs"] > 0
 
@@ -61,17 +60,17 @@ def test_random_dag_bit_identical(seed):
     ids=["small_cnn", "chain"],
 )
 def test_named_graphs_bit_identical_both_modes(graph_factory):
-    # Both GEMM routes: the exact BLAS product (0) and the instruction
-    # kernels (None).
+    # The reference on both of its GEMM routes — the exact BLAS product
+    # (0) and the instruction kernels (None) — against the one the
+    # emitter has.
     compiled, calibration, feeds = _prepared(graph_factory(), requests=4)
+    engine = InferenceEngine(compiled, calibration, seed=0)
     for kernel_mac_limit in (0, None):
-        engine = InferenceEngine(
-            compiled,
-            calibration,
-            seed=0,
-            kernel_mac_limit=kernel_mac_limit,
+        verify_engine_parity(
+            engine,
+            feeds,
+            executor=kernel_reference(engine, kernel_mac_limit),
         )
-        verify_engine_parity(engine, feeds)
 
 
 class TestEmitFailureFuzz:
@@ -103,15 +102,11 @@ class TestEmitFailureFuzz:
 
     def test_degraded_engine_is_still_bit_identical(self, broken_emitter):
         compiled, calibration, feeds = _prepared(small_cnn())
-        engine = InferenceEngine(
-            compiled, calibration, seed=0, kernel_mac_limit=0
-        )
+        engine = InferenceEngine(compiled, calibration, seed=0)
         degraded = engine.run_batch(feeds)
         assert engine.emission_error is not None
         broken_emitter()  # the emitter works again
-        healthy = InferenceEngine(
-            compiled, calibration, seed=0, kernel_mac_limit=0
-        )
+        healthy = InferenceEngine(compiled, calibration, seed=0)
         assert_outputs_equal(degraded, healthy.run_batch(feeds))
         assert healthy.emission_error is None
 

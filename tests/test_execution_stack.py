@@ -23,7 +23,7 @@ from tests.conftest import assert_outputs_equal, chain_graph, small_cnn
 
 
 def _engine(compiled):
-    engine = InferenceEngine(compiled, seed=0, kernel_mac_limit=0)
+    engine = InferenceEngine(compiled, seed=0)
     engine.calibrate(example_feeds(compiled.graph, count=2, seed=99))
     return engine
 

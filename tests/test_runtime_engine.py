@@ -3,8 +3,9 @@
 The engine's one non-negotiable claim is that its emitted batch code is
 *transparent*: same bits as running the per-sample executor under the
 same frozen calibration.  ``verify_engine_parity`` checks it
-differentially, and these tests run that check across graph shapes on
-both GEMM paths (instruction kernels and the exact BLAS fallback).
+differentially, and these tests run that check across graph shapes
+against the reference on both of its GEMM routes (instruction kernels
+and the exact BLAS product the serving stack uses).
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.verify.runtime import (
     RuntimeVerificationError,
     verify_engine_parity,
 )
-from tests.conftest import chain_graph, small_cnn
+from tests.conftest import chain_graph, kernel_reference, small_cnn
 
 
 def _calibrated_engine(compiled, samples=2, **kwargs):
@@ -31,21 +32,25 @@ def _calibrated_engine(compiled, samples=2, **kwargs):
 
 class TestBatchedParity:
     def test_small_cnn_kernel_path_is_bit_identical(self):
-        # kernel_mac_limit=None: every GEMM goes through the simulated
-        # instruction kernels, the strictest parity target.
+        # kernel_mac_limit=None on the reference: every one of its
+        # GEMMs goes through the simulated instruction kernels, the
+        # strictest target for the emitted BLAS products.
         compiled = compile_model(small_cnn())
         engine = _calibrated_engine(compiled)
         feeds = example_feeds(compiled.graph, count=4)
-        report = verify_engine_parity(engine, feeds)
+        report = verify_engine_parity(
+            engine, feeds, executor=kernel_reference(engine, None)
+        )
         assert report["samples"] == 4
         assert report["outputs"] >= 4
 
     @pytest.mark.parametrize("model_name", ["mobilenet_v3", "tinybert"])
     def test_zoo_models_are_bit_identical(self, model_name):
-        # BLAS path (kernel_mac_limit=0) keeps full models tractable;
-        # the kernel suite proves it bit-identical to the kernels.
+        # The default reference takes the engine's own BLAS route,
+        # which keeps full models tractable; the kernel suite proves it
+        # bit-identical to the kernels.
         compiled = compile_model(build_model(model_name))
-        engine = _calibrated_engine(compiled, kernel_mac_limit=0)
+        engine = _calibrated_engine(compiled)
         feeds = example_feeds(compiled.graph, count=3)
         report = verify_engine_parity(engine, feeds)
         assert report["samples"] == 3
@@ -99,7 +104,7 @@ class TestConvenienceConstructors:
     def test_compiled_model_spawns_executor_and_engine(self):
         compiled = compile_model(small_cnn())
         executor = compiled.executor(kernel_mac_limit=0)
-        engine = compiled.engine(kernel_mac_limit=0)
+        engine = compiled.engine()
         assert isinstance(executor, QuantizedExecutor)
         assert isinstance(engine, InferenceEngine)
         assert executor.compiled is compiled
@@ -119,7 +124,7 @@ class TestDiagnostics:
         # A `repro serve` process calls run_batch for its whole life:
         # nothing in the diagnostics may grow with the request count.
         compiled = compile_model(chain_graph(length=2, size=4))
-        engine = _calibrated_engine(compiled, kernel_mac_limit=0)
+        engine = _calibrated_engine(compiled)
         feeds = example_feeds(compiled.graph, count=1)
         engine.run_batch(feeds)
 

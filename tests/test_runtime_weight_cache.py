@@ -70,9 +70,7 @@ class TestWeightLevelCache:
         # sample through its one reference executor.
         computed = _spy_weight_computations(monkeypatch)
         compiled, calibration, feeds = _prepared(requests=4)
-        engine = InferenceEngine(
-            compiled, calibration, seed=0, kernel_mac_limit=0
-        )
+        engine = InferenceEngine(compiled, calibration, seed=0)
         for _ in range(3):
             engine.run_batch(feeds)
         assert engine.emission_error is not None
@@ -85,9 +83,7 @@ class TestWeightLevelCache:
         # weight's levels at most once per executor.
         computed = _spy_weight_computations(monkeypatch)
         compiled, calibration, feeds = _prepared(requests=4)
-        engine = InferenceEngine(
-            compiled, calibration, seed=0, kernel_mac_limit=0
-        )
+        engine = InferenceEngine(compiled, calibration, seed=0)
         for _ in range(3):
             engine.run_batch(feeds)
         assert engine.emission_error is None

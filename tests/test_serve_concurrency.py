@@ -23,7 +23,7 @@ from repro.models.transformers import build_decoder_step
 from repro.runtime import InferenceEngine
 from repro.serve.pool import EnginePool
 from repro.verify.budget import Deadline
-from tests.conftest import assert_outputs_equal, small_cnn
+from tests.conftest import assert_outputs_equal, kernel_reference, small_cnn
 
 JOIN_S = 120.0
 
@@ -90,10 +90,11 @@ def _tiny_decoder_step():
 
 
 # decoder_tiny carries per-sample ``_qcompute`` nodes (calls into the
-# shared reference executor from inside the emitted code).  Under
-# ``kernel_mac_limit=None`` it costs ~6 s a sample in the Python-loop
-# GEMM kernels, so there a geometry-shrunk decode step with the same
-# node kinds stands in for it.
+# shared reference executor from inside the emitted code).  The second
+# field is the route of the *independent reference* the serial run is
+# held to: under ``kernel_mac_limit=None`` decoder_tiny costs ~6 s a
+# sample in the Python-loop GEMM kernels, so there a geometry-shrunk
+# decode step with the same node kinds stands in for it.
 PARITY_CASES = {
     "decoder_tiny-0": (lambda: compile_cached("decoder_tiny"), 0),
     "decoder_step-None": (_tiny_decoder_step, None),
@@ -106,12 +107,18 @@ PARITY_CASES = {
 def test_concurrent_requests_match_the_serial_run(case):
     build, kernel_mac_limit = PARITY_CASES[case]
     compiled = build()
-    pool = _pool(compiled, size=4, kernel_mac_limit=kernel_mac_limit)
+    pool = _pool(compiled, size=4)
     batches = [
         example_feeds(compiled.graph, count=1 + 2 * (index % 2), seed=index)
         for index in range(8)
     ]
     serial = [pool.infer(feeds)["outputs"] for feeds in batches]
+    # The serial run itself is held to the independent reference on
+    # the case's route (one 1-sample and one 3-sample batch: the
+    # instruction kernels are Python loops).
+    reference = kernel_reference(pool.engine, kernel_mac_limit)
+    for feeds, outputs in zip(batches[:2], serial):
+        assert_outputs_equal(outputs, [reference.run(f) for f in feeds])
     results = {}
 
     def worker(offset):
@@ -142,9 +149,7 @@ class TestEmitOnce:
         calibrated = _pool(compiled, size=1)
         expected = calibrated.infer(feeds)["outputs"]
         del emit_calls[:]
-        engine = InferenceEngine(
-            compiled, calibrated.calibration, seed=0, kernel_mac_limit=0
-        )
+        engine = InferenceEngine(compiled, calibrated.calibration, seed=0)
         barrier = threading.Barrier(6)
         outputs = []
 

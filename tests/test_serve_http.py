@@ -6,6 +6,7 @@ error comes back as a :meth:`ReproError.to_dict` body with the right
 status code, and that admission rejections carry ``Retry-After``.
 """
 
+import http.client
 import json
 import os
 import threading
@@ -17,6 +18,7 @@ import pytest
 from repro.errors import ReproError
 from repro.graph.serialization import save_graph
 from repro.serve import ServeConfig, ServeServer
+from repro.serve.app import MAX_INFER_BATCH
 from repro.serve.chaos import build_chaos_graph
 
 
@@ -232,6 +234,45 @@ class TestErrorBodies:
         )
         assert status == 400
         assert body["code"] == "service-error"
+
+    @pytest.mark.parametrize(
+        "payload,field",
+        [
+            ({"batch": 10**9}, "batch"),
+            ({"batch": MAX_INFER_BATCH + 1}, "batch"),
+            ({"batch": 0}, "batch"),
+            ({"batch": 1, "seed": -1}, "seed"),
+        ],
+        ids=["batch-1e9", "batch-over-bound", "batch-zero", "seed-negative"],
+    )
+    def test_out_of_range_infer_field_is_400(self, server, payload, field):
+        # Rejected before a single input tensor is built: 10**9
+        # samples would otherwise allocate until the process dies.
+        status, body, _ = _request(f"{server.url}/models/m1/infer", payload)
+        assert status == 400
+        assert body["code"] == "service-error"
+        assert body["details"]["field"] == field
+        assert _request(f"{server.url}/status")[0] == 200
+
+    @pytest.mark.parametrize("length", ["abc", "-1", "1.5"])
+    def test_malformed_content_length_is_400(self, server, length):
+        # `int("abc")` used to be a 500; `-1` made `rfile.read(-1)`
+        # block the handler thread until the peer closed.
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=10
+        )
+        try:
+            conn.putrequest("POST", "/models/m1/infer")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert body["code"] == "service-error"
+        assert body["details"]["field"] == "Content-Length"
+        assert _request(f"{server.url}/status")[0] == 200
 
     def test_unexpected_exception_is_500_internal_error(self, server):
         def boom(*args, **kwargs):

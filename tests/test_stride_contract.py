@@ -43,7 +43,7 @@ def test_reduction_after_conv_matches_the_interpreter(
     x = b.reshape(x, (1, 16))
     b.softmax(x)
     compiled = compile_model(b.build())
-    engine = InferenceEngine(compiled, seed=0, kernel_mac_limit=0)
+    engine = InferenceEngine(compiled, seed=0)
     engine.calibrate(example_feeds(compiled.graph, count=2, seed=99))
     verify_engine_parity(
         engine, example_feeds(compiled.graph, count=3, seed=7)
@@ -84,7 +84,7 @@ def _float_fn(graph):
         example_feeds(compiled.graph, count=1, seed=99)
     )
     source, namespace = _FloatOnlyEmitter(
-        compiled, calibration, executor, kernel_mac_limit=0
+        compiled, calibration, executor
     ).emit()
     exec(compile(source, "<float-only>", "exec"), namespace)
     return compiled.graph, namespace["run_batch"], source
@@ -184,6 +184,14 @@ TEMPLATES = {
 }
 
 
+#: Templates that fall back to ``ReferenceExecutor._eval`` per sample.
+PER_SAMPLE = {
+    "transpose_conv", "batch_norm", "relu", "dense", "matmul_weight",
+    "matmul_weight_transposed", "matmul_operands",
+    "matmul_operands_transposed",
+}
+
+
 def _channels_last(shape):
     return (shape[0],) + tuple(shape[2:]) + (shape[1],)
 
@@ -222,10 +230,11 @@ def test_float_templates_ignore_operand_strides(template, rng):
     strided, contiguous = _graphs(shapes, build)
     strided, strided_fn, source = _float_fn(strided)
     contiguous, contiguous_fn, _ = _float_fn(contiguous)
-    # These three have no stacked template: they run the reference's
-    # own `_eval` per sample, which the same contract covers.
-    if template not in ("transpose_conv", "batch_norm", "relu"):
-        assert "_ref_eval(" not in source
+    # These have no stacked template: they run the reference's own
+    # `_eval` per sample, which the same contract covers.  (A float
+    # Dense / MatMul stacked into one BLAS call is a gemm where the
+    # reference does a gemv per sample — different bits at batch >= 2.)
+    assert ("_ref_eval(" in source) == (template in PER_SAMPLE)
     reference_view = ReferenceExecutor(strided)
     reference_copy = ReferenceExecutor(contiguous)
     for batch in (1, 2):
@@ -255,13 +264,9 @@ def test_float_templates_ignore_operand_strides(template, rng):
             assert _bytes(emitted_view[s]["op"]) == _bytes(
                 emitted_copy[s]["op"]
             ), f"{template}: the emitted bits depend on strides"
-            if batch == 1:
-                # Same grouping as the per-sample reference, so the
-                # template must return its bits outright.  (A stacked
-                # float GEMM is only row-grouping-invariant in exact
-                # arithmetic; GEMM-planned operators never take the
-                # float template in a compiled model.)
-                assert _bytes(emitted_view[s]["op"]) == _bytes(want)
+            # And the template returns the per-sample reference's bits
+            # outright, at every batch.
+            assert _bytes(emitted_view[s]["op"]) == _bytes(want)
 
 
 def _bytes(value) -> bytes:
