@@ -121,12 +121,15 @@ class CompilerOptions:
     verify:
         Run the invariant checkers after every pipeline stage.
     lint:
-        Additionally run the :mod:`repro.lint` static analyzer over
-        the compiled artefacts as a pipeline stage; error-severity
-        diagnostics raise
-        :class:`~repro.errors.LintVerificationError`.  Off by default
-        (the dynamic checkers already gate correctness); ``repro
-        verify`` and ``repro lint`` turn it on.
+        Additionally run the full :mod:`repro.lint` static analyzer
+        over the compiled artefacts as a pipeline stage;
+        error-severity diagnostics raise
+        :class:`~repro.errors.LintVerificationError`.  Off by default:
+        with ``verify`` on, the ``lowering`` and ``packing`` checks
+        already run the lint rules that gate kernel shape and schedule
+        legality (LW, PK and SC families), so this stage adds the rest
+        — register dataflow, ``vasr`` shift ranges, selection lints.
+        ``repro verify`` and ``repro lint`` turn it on.
     jobs:
         Vestigial: only ``1`` is accepted.  Process-pool packing was
         removed (it was slower than in-process packing in every zoo x

@@ -62,10 +62,7 @@ def configured_packer(
     if name == "soft_to_none":
         return lambda body: pack_soft_to_none(body, machine=machine)
     return lambda body: pack_list_schedule(body, machine=machine)
-from repro.core.packing.evaluate import (
-    schedule_summary,
-    validate_schedule,
-)
+from repro.core.packing.evaluate import schedule_summary
 from repro.core.packing.swp import (
     PipelinedSchedule,
     modulo_schedule,
@@ -89,7 +86,6 @@ __all__ = [
     "pack_soft_to_none",
     "pack_list_schedule",
     "schedule_summary",
-    "validate_schedule",
     "PipelinedSchedule",
     "modulo_schedule",
     "pipelined_speedup",

@@ -8,13 +8,19 @@ checks *dynamically* (checkers run inside a compile, the simulator runs
 the code), the lint layer proves properties *statically* — register
 dataflow, packet hazard legality, schedule consistency, memory-map
 discipline — and reports structured :class:`Diagnostic` objects instead
-of raising on first failure.
+of raising on first failure.  The kernel-shape, packet-hazard and
+schedule-consistency rules double as :mod:`repro.verify`'s ``lowering``
+and ``packing`` checks: they are the only definition of those rules.
 
 Entry points:
 
 * :class:`StaticAnalyzer` / :func:`lint_model` — library API;
 * :func:`verify_lint` — PassManager checker (``repro verify`` and
   ``CompilerOptions(lint=True)`` run it strictly);
+* :func:`raise_first_error` — turns the first ERROR diagnostic into a
+  stage's verification error; the compiler's ``lowering`` and
+  ``packing`` checks (:mod:`repro.verify.checkers`) go through it too,
+  so hardware legality is defined by these rules alone;
 * ``repro lint MODEL`` — the CLI (see :mod:`repro.cli`);
 * :data:`FAULT_RULES` — which lint rule catches which injected fault.
 
@@ -27,6 +33,7 @@ from repro.lint.analyzer import (
     STATIC_STAGES,
     StaticAnalyzer,
     lint_model,
+    raise_first_error,
     verify_lint,
 )
 from repro.lint.baseline import (
@@ -48,6 +55,7 @@ from repro.lint.diagnostics import (
     Severity,
 )
 from repro.lint.graphlint import (
+    lint_kernel_shape,
     lint_kernel_structure,
     lint_quant_params,
     lint_selection,
@@ -69,6 +77,7 @@ __all__ = [
     "STATIC_STAGES",
     "StaticAnalyzer",
     "lint_model",
+    "raise_first_error",
     "verify_lint",
     "baseline_from_report",
     "load_baseline",
@@ -82,6 +91,7 @@ __all__ = [
     "LintReport",
     "Location",
     "Severity",
+    "lint_kernel_shape",
     "lint_kernel_structure",
     "lint_quant_params",
     "lint_selection",

@@ -13,7 +13,9 @@ the three artefact shapes the compiler produces:
 :class:`~repro.verify.PassManager` checker convention so ``repro
 verify`` (and ``CompilerOptions(lint=True)``) runs it strictly:
 error-severity diagnostics raise
-:class:`~repro.errors.LintVerificationError`.
+:class:`~repro.errors.LintVerificationError` through
+:func:`raise_first_error`, the same helper the compiler's ``lowering``
+and ``packing`` checks raise through.
 
 :data:`FAULT_RULES` is the cross-validation contract with
 :mod:`repro.verify.faultinject`: every packing/codegen-stage fault in
@@ -24,17 +26,25 @@ fires on its fault.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Mapping,
+    Optional,
+    Sequence,
+    Type,
+)
 
 from repro.codegen.lower import LoweredKernel
 from repro.codegen.program import MatmulProgram
 from repro.core.cost import CostModel
 from repro.core.selection_common import SelectionResult
-from repro.errors import LintVerificationError
+from repro.errors import LintVerificationError, VerificationError
 from repro.graph.graph import ComputationalGraph
 from repro.isa.instructions import Instruction
 from repro.lint.dataflow import lint_dataflow
-from repro.lint.diagnostics import LintReport, Severity
+from repro.lint.diagnostics import Diagnostic, LintReport, Severity
 from repro.lint.graphlint import (
     lint_kernel_structure,
     lint_selection,
@@ -216,6 +226,36 @@ def lint_model(compiled: "CompiledModel") -> LintReport:
     )
 
 
+def raise_first_error(
+    diagnostics: Iterable[Diagnostic],
+    error_cls: Type[VerificationError],
+    stage: str,
+) -> None:
+    """Raise ``error_cls`` for the first ERROR diagnostic, if any.
+
+    The error names the first diagnostic's node and carries its
+    ``rule`` and details, plus every failing rule id and the error
+    count.  This is how the ``lowering``, ``packing`` and ``lint``
+    PassManager checks turn lint findings into a failed stage.
+    """
+    errors = [d for d in diagnostics if d.severity is Severity.ERROR]
+    if not errors:
+        return
+    first = errors[0]
+    raise error_cls(
+        f"static analysis found {len(errors)} error(s); first: "
+        f"{first.render()}",
+        stage=stage,
+        node=first.location.node,
+        details={
+            "rule": first.rule_id,
+            **first.details,
+            "rules": sorted({d.rule_id for d in errors}),
+            "count": len(errors),
+        },
+    )
+
+
 def verify_lint(
     graph: ComputationalGraph,
     model: CostModel,
@@ -227,15 +267,4 @@ def verify_lint(
     report = StaticAnalyzer(machine).lint_compiled(
         compiled_nodes, graph=graph, selection=selection, model=model
     )
-    errors = report.errors
-    if errors:
-        first = errors[0]
-        raise LintVerificationError(
-            f"static analysis found {len(errors)} error(s); first: "
-            f"{first.render()}",
-            stage="lint",
-            details={
-                "rules": sorted({d.rule_id for d in errors}),
-                "count": len(errors),
-            },
-        )
+    raise_first_error(report, LintVerificationError, "lint")

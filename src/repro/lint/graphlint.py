@@ -10,7 +10,8 @@ kernels and the quantization metadata.
 * ``LINT-GR003`` — a ``vasr`` requantize shift outside ``[0, 31]``;
 * ``LINT-GR004`` — invalid quantization scale/zero-point;
 * ``LINT-LW001`` / ``LINT-LW002`` — lowered-kernel structure (empty
-  body, non-positive trip count).
+  body, non-positive trip count); :func:`lint_kernel_shape` runs just
+  these two and is the compiler's ``lowering`` check.
 """
 
 from __future__ import annotations
@@ -85,12 +86,12 @@ def lint_selection(
     return diagnostics
 
 
-def lint_kernel_structure(
+def lint_kernel_shape(
     body: Sequence[Instruction],
     trips: object,
     node: Optional[str] = None,
 ) -> List[Diagnostic]:
-    """LINT-LW001/LW002/GR003 over one lowered kernel."""
+    """LINT-LW001/LW002 over one lowered kernel: the lowering check."""
     diagnostics: List[Diagnostic] = []
     if not body:
         diagnostics.append(
@@ -106,6 +107,16 @@ def lint_kernel_structure(
                 trips=repr(trips),
             )
         )
+    return diagnostics
+
+
+def lint_kernel_structure(
+    body: Sequence[Instruction],
+    trips: object,
+    node: Optional[str] = None,
+) -> List[Diagnostic]:
+    """LINT-LW001/LW002/GR003 over one lowered kernel."""
+    diagnostics = lint_kernel_shape(body, trips, node)
     lo, hi = VASR_SHIFT_RANGE
     for position, inst in enumerate(body):
         if inst.opcode is not Opcode.VASR or not inst.imms:

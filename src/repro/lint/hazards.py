@@ -6,7 +6,8 @@ trusting :class:`~repro.machine.packet.Packet`'s own constructor
 validation, which a corrupted pipeline may have bypassed by mutating
 ``packet.instructions`` directly:
 
-* ``LINT-PK001`` — hard-dependent pairs sharing a packet;
+* ``LINT-PK001`` — hard-dependent pairs sharing a packet, in either
+  uid order;
 * ``LINT-PK002`` — more instructions than issue slots;
 * ``LINT-PK003`` — functional-unit class over its per-packet limit;
 * ``LINT-PK004`` — more than one store per packet;
@@ -52,66 +53,71 @@ def lint_packet(
     Limits come from the live machine description (explicit argument,
     else the process default) — never from constants bound at import —
     so lint always judges a packet by the same rules the packer and
-    the cache schema hash used.
+    the cache schema hash used.  A hard dependency in either direction
+    is a PK001 hazard: members are checked as an unordered set, like
+    :func:`~repro.machine.packet.packet_is_legal` does.
     """
     desc = resolve_machine(machine)
     diagnostics: List[Diagnostic] = []
-    insts = list(packet.instructions)
-    where = Location(node=node, packet_index=index)
+    insts = packet.instructions
+
+    def flag(rule_id: str, message: str, **details) -> None:
+        diagnostics.append(
+            rule(rule_id).diagnostic(
+                message,
+                Location(node=node, packet_index=index),
+                **details,
+            )
+        )
 
     if len(insts) > desc.max_packet_slots:
-        diagnostics.append(
-            rule("LINT-PK002").diagnostic(
-                f"packet holds {len(insts)} instructions "
-                f"(limit {desc.max_packet_slots})",
-                where,
-                count=len(insts),
-            )
+        flag(
+            "LINT-PK002",
+            f"packet holds {len(insts)} instructions "
+            f"(limit {desc.max_packet_slots})",
+            instructions=len(insts),
         )
     counts = Counter(inst.resource for inst in insts)
     for resource, count in sorted(counts.items(), key=lambda kv: kv[0].value):
         if count > desc.limit(resource):
-            diagnostics.append(
-                rule("LINT-PK003").diagnostic(
-                    f"{count} x {resource.value} in one packet "
-                    f"(limit {desc.limit(resource)})",
-                    where,
-                    resource=resource.value,
-                )
+            flag(
+                "LINT-PK003",
+                f"{count} x {resource.value} in one packet "
+                f"(limit {desc.limit(resource)})",
+                resource=resource.value,
             )
     stores = sum(1 for inst in insts if inst.spec.is_store)
     if stores > desc.max_stores_per_packet:
-        diagnostics.append(
-            rule("LINT-PK004").diagnostic(
-                f"{stores} stores in one packet "
-                f"(limit {desc.max_stores_per_packet})",
-                where,
-            )
+        flag(
+            "LINT-PK004",
+            f"{stores} stores in one packet "
+            f"(limit {desc.max_stores_per_packet})",
         )
 
     ordered = _ordered(insts)
     for i, first in enumerate(ordered):
         for second in ordered[i + 1:]:
-            waw = frozenset(first.dests) & frozenset(second.dests)
+            waw = first.write_set & second.write_set
             if waw:
-                diagnostics.append(
-                    rule("LINT-PK005").diagnostic(
-                        f"{first.opcode.value} and {second.opcode.value} "
-                        f"both write {sorted(waw)!r} in one packet",
-                        where,
-                        registers=sorted(waw),
-                    )
+                flag(
+                    "LINT-PK005",
+                    f"{first.opcode.value} and {second.opcode.value} "
+                    f"both write {sorted(waw)!r} in one packet",
+                    registers=sorted(waw),
                 )
             if classify_dependency(first, second) is DependencyKind.HARD:
-                diagnostics.append(
-                    rule("LINT-PK001").diagnostic(
-                        f"hard dependency {first.opcode.value} -> "
-                        f"{second.opcode.value} inside one packet",
-                        where,
-                        first_uid=first.uid,
-                        second_uid=second.uid,
-                    )
-                )
+                producer, consumer = first, second
+            elif classify_dependency(second, first) is DependencyKind.HARD:
+                producer, consumer = second, first
+            else:
+                continue
+            flag(
+                "LINT-PK001",
+                f"hard dependency {producer.opcode.value} -> "
+                f"{consumer.opcode.value} inside one packet",
+                first_uid=producer.uid,
+                second_uid=consumer.uid,
+            )
     return diagnostics
 
 
@@ -123,7 +129,6 @@ def lint_schedule_consistency(
     """Bijection and ordering between a kernel body and its schedule."""
     diagnostics: List[Diagnostic] = []
     position: Dict[int, int] = {}
-    opcode_of: Dict[int, str] = {}
     for index, packet in enumerate(packets):
         for inst in packet:
             if inst.uid in position:
@@ -141,7 +146,6 @@ def lint_schedule_consistency(
                 )
                 continue
             position[inst.uid] = index
-            opcode_of[inst.uid] = inst.opcode.value
     body_uids = {inst.uid for inst in body}
     missing = sorted(body_uids - set(position))
     if missing:
@@ -164,29 +168,31 @@ def lint_schedule_consistency(
             )
         )
 
-    ordered = _ordered(body)
-    for i, first in enumerate(ordered):
-        if first.uid not in position:
-            continue
-        for second in ordered[i + 1:]:
-            if second.uid not in position:
+    # Only pairs the schedule runs out of program order can invert a
+    # dependency, so the position test comes first and the classifier
+    # runs on those pairs alone.
+    placed = [
+        (inst, position[inst.uid])
+        for inst in _ordered(body)
+        if inst.uid in position
+    ]
+    for i, (first, first_at) in enumerate(placed):
+        for second, second_at in placed[i + 1:]:
+            if first_at <= second_at:
                 continue
             kind = classify_dependency(first, second)
             if kind is DependencyKind.NONE:
                 continue
-            if position[first.uid] > position[second.uid]:
-                diagnostics.append(
-                    rule("LINT-SC004").diagnostic(
-                        f"{kind.value} dependency inverted: "
-                        f"{first.opcode.value} (packet "
-                        f"{position[first.uid]}) executes after "
-                        f"{second.opcode.value} (packet "
-                        f"{position[second.uid]})",
-                        Location(node=node, opcode=first.opcode.value),
-                        first_uid=first.uid,
-                        second_uid=second.uid,
-                    )
+            diagnostics.append(
+                rule("LINT-SC004").diagnostic(
+                    f"{kind.value} dependency inverted: "
+                    f"{first.opcode.value} (packet {first_at}) executes "
+                    f"after {second.opcode.value} (packet {second_at})",
+                    Location(node=node, opcode=first.opcode.value),
+                    first_uid=first.uid,
+                    second_uid=second.uid,
                 )
+            )
     return diagnostics
 
 

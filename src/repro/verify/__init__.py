@@ -5,8 +5,8 @@ Four pillars, threaded through :class:`~repro.compiler.GCD2Compiler`:
 * :mod:`repro.verify.passes` — the :class:`PassManager` that wraps the
   pipeline stages and runs invariant checkers after each one;
 * :mod:`repro.verify.checkers` — the checkers themselves (graph
-  well-formedness, selection completeness, schedule legality, profile
-  sanity);
+  well-formedness, selection completeness, profile sanity; kernel
+  shape and schedule legality by running the :mod:`repro.lint` rules);
 * :mod:`repro.verify.budget` — wall-clock/state budgets the exponential
   solvers enforce, feeding the compiler's graceful-degradation ladder;
 * :mod:`repro.verify.faultinject` — stage-level corruption hooks that

@@ -3,17 +3,29 @@
 Each checker inspects one stage's artefact and raises a
 :class:`~repro.errors.VerificationError` subclass carrying structured
 context (stage, node, offending artefact) when an invariant is broken.
-They are deliberately independent re-derivations — the selection
-checker re-aggregates ``Agg_Cost`` from the cost model, the schedule
-checker re-validates every packet against the hardware resource rules —
-so a bug (or an injected fault) in the producing stage cannot also hide
-itself in the check.
+
+Two kinds of check live here:
+
+* **dynamic** — ``verify_graph``, ``verify_selection``,
+  ``verify_unrolls`` and ``verify_profile`` re-derive their stage's
+  result independently (the selection checker re-aggregates
+  ``Agg_Cost`` from the cost model, the profile checker bounds the
+  counters by the machine's slots), so a bug in the producing stage
+  cannot also hide itself in the check;
+* **lint-backed** — ``verify_lowering`` and ``verify_schedule`` run the
+  :mod:`repro.lint` rules (LW001/LW002; PK001–PK005 and SC001–SC005)
+  and raise on the first ERROR diagnostic.  Those rules are the one
+  definition of kernel-shape and schedule legality; they re-derive it
+  pair by pair without trusting :class:`~repro.machine.packet.Packet`'s
+  constructor, which the packer itself relies on.  ``repro.lint`` is
+  imported on first call, so importing the compiler does not load the
+  analyzer.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping
+from typing import Iterable, Mapping
 
 from repro.errors import (
     GraphError,
@@ -24,9 +36,7 @@ from repro.errors import (
     SelectionVerificationError,
 )
 from repro.graph.graph import ComputationalGraph
-from repro.isa.dependencies import DependencyKind, classify_dependency
 from repro.machine.description import resolve_machine
-from repro.machine.packet import packet_is_legal
 
 #: Relative tolerance for the recomputed-versus-reported cost check.
 COST_TOLERANCE = 1e-6
@@ -159,24 +169,15 @@ def verify_unrolls(graph: ComputationalGraph, unrolls: Mapping[int, object]) -> 
 def verify_lowering(
     graph: ComputationalGraph, kernels: Mapping[int, object]
 ) -> None:
-    """Lowered kernels have non-empty bodies and sane trip counts."""
+    """Lowered kernels have non-empty bodies and positive int trip counts."""
+    from repro.lint import lint_kernel_shape, raise_first_error
+
+    diagnostics = []
     for node_id, kernel in kernels.items():
-        name = graph.node(node_id).name
-        if not kernel.body:
-            raise LoweringVerificationError(
-                "lowered kernel body is empty (truncated lowering)",
-                stage="lowering",
-                node=name,
-                details={"description": kernel.description},
-            )
-        trips = kernel.trips
-        if not isinstance(trips, int) or trips < 1:
-            raise LoweringVerificationError(
-                f"trip count must be a positive int, got {trips!r}",
-                stage="lowering",
-                node=name,
-                details={"description": kernel.description},
-            )
+        diagnostics += lint_kernel_shape(
+            kernel.body, kernel.trips, graph.node(node_id).name
+        )
+    raise_first_error(diagnostics, LoweringVerificationError, "lowering")
 
 
 # ---------------------------------------------------------------------------
@@ -187,98 +188,36 @@ def verify_lowering(
 def verify_schedule(compiled_nodes: Iterable, machine=None) -> None:
     """Re-check every packed schedule against the hardware rules.
 
-    Validates, per compiled node: every packet against the machine's
-    slot / resource / store constraints (which also forbids co-packed
-    hard-dependent pairs), the bijection between the kernel body and
-    the scheduled instructions, dependency order across packets
-    (def-before-use over the packed body), and a finite non-negative
-    cycle estimate.  Limits come from the live machine description —
-    the same one the packer compiled against.
+    Per compiled node: a finite non-negative cycle estimate (SC003),
+    then — once per distinct schedule, since identical bodies share one
+    cached packet list — every packet's slot / resource / store limits
+    and hard pairs (PK001–PK005), and the body-to-schedule bijection and
+    dependency order (SC001, SC002, SC004, SC005).  Limits come from
+    the live machine description, the one the packer compiled against.
     """
-    machine = resolve_machine(machine)
+    from repro.lint import (
+        StaticAnalyzer,
+        lint_cycle_estimate,
+        raise_first_error,
+    )
+
+    analyzer = StaticAnalyzer(machine)
+    diagnostics = []
     checked: set = set()
     for compiled in compiled_nodes:
         name = compiled.node.name
-        if not (
-            isinstance(compiled.cycles, (int, float))
-            and math.isfinite(compiled.cycles)
-            and compiled.cycles >= 0.0
-        ):
-            raise ScheduleVerificationError(
-                f"kernel cycle estimate is not finite and non-negative: "
-                f"{compiled.cycles!r}",
-                stage="packing",
-                node=name,
-            )
-        # Identical bodies share one cached schedule object; verify each
-        # distinct schedule once.
+        diagnostics += lint_cycle_estimate(compiled.cycles, name)
         key = id(compiled.packets)
         if key in checked:
             continue
         checked.add(key)
-        _verify_node_schedule(
-            name, compiled.schedule_body, compiled.packets, machine
-        )
-
-
-def _verify_node_schedule(
-    name: str, body: List, packets: List, machine=None
-) -> None:
-    for index, packet in enumerate(packets):
-        if not packet_is_legal(packet.instructions, machine):
-            raise ScheduleVerificationError(
-                f"illegal packet at position {index}: {packet!r}",
-                stage="packing",
-                node=name,
-                details={"packet_index": index},
-            )
-    position: Dict[int, int] = {}
-    for index, packet in enumerate(packets):
-        for inst in packet:
-            if inst.uid in position:
-                raise ScheduleVerificationError(
-                    f"instruction {inst.opcode.value} (uid {inst.uid}) "
-                    f"scheduled twice",
-                    stage="packing",
-                    node=name,
-                    details={"uid": inst.uid},
-                )
-            position[inst.uid] = index
-    body_uids = {inst.uid for inst in body}
-    missing = body_uids - set(position)
-    if missing:
-        raise ScheduleVerificationError(
-            f"schedule drops {len(missing)} body instruction(s)",
-            stage="packing",
+        diagnostics += analyzer.lint_schedule(
+            compiled.packets,
+            compiled.schedule_body,
             node=name,
-            details={"missing_uids": sorted(missing)},
+            with_stalls=False,
         )
-    foreign = set(position) - body_uids
-    if foreign:
-        raise ScheduleVerificationError(
-            f"schedule contains {len(foreign)} instruction(s) not in the "
-            f"kernel body",
-            stage="packing",
-            node=name,
-            details={"foreign_uids": sorted(foreign)},
-        )
-    ordered = sorted(body, key=lambda inst: inst.uid)
-    for i, first in enumerate(ordered):
-        for second in ordered[i + 1:]:
-            kind = classify_dependency(first, second)
-            if kind is DependencyKind.NONE:
-                continue
-            if position[first.uid] > position[second.uid]:
-                raise ScheduleVerificationError(
-                    f"{kind.value} dependency inverted: "
-                    f"{first.opcode.value} (packet "
-                    f"{position[first.uid]}) must not execute after "
-                    f"{second.opcode.value} (packet "
-                    f"{position[second.uid]})",
-                    stage="packing",
-                    node=name,
-                    details={"first": first.uid, "second": second.uid},
-                )
+    raise_first_error(diagnostics, ScheduleVerificationError, "packing")
 
 
 # ---------------------------------------------------------------------------

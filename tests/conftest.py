@@ -48,6 +48,26 @@ def assert_outputs_equal(got, want) -> None:
             assert np.array_equal(sample_got[key], sample_want[key]), key
 
 
+def schedule_errors(packets, body, machine=None):
+    """Lint ERROR diagnostics of ``packets`` as a schedule of ``body``.
+
+    These are the rules the compiler's packing check enforces: packet
+    hazards (PK001–PK005) and schedule consistency (SC001, SC002,
+    SC004, SC005).
+    """
+    from repro.lint import StaticAnalyzer
+
+    return StaticAnalyzer(machine).lint_schedule(
+        packets, body, with_stalls=False
+    ).errors
+
+
+def assert_schedule_legal(packets, body, machine=None) -> None:
+    """``packets`` is a legal schedule of ``body`` on ``machine``."""
+    errors = schedule_errors(packets, body, machine)
+    assert errors == [], [d.render() for d in errors]
+
+
 def kernel_reference(engine, kernel_mac_limit=None):
     """The engine's model on the *instruction-kernel* reference route.
 

@@ -19,9 +19,9 @@ from repro.core.packing.baselines import (
     pack_soft_to_hard,
     pack_soft_to_none,
 )
-from repro.core.packing.evaluate import validate_schedule
 from repro.core.packing.sda import pack_best, pack_instructions
 from repro.errors import CodegenError
+from tests.conftest import assert_schedule_legal
 
 PACKERS = [
     pack_instructions,
@@ -74,7 +74,9 @@ class TestPackedExecution:
     def test_any_schedule_preserves_semantics(self, shape, packer):
         a, b = _operands(shape)
         program = build_matmul_program(a.shape, b)
-        validate_schedule(packer(program.instructions), program.instructions)
+        assert_schedule_legal(
+            packer(program.instructions), program.instructions
+        )
         sequential, _ = run_sequential(program, a)
         packed, _ = run_packed(program, a, packer)
         assert (packed == sequential).all()

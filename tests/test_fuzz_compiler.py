@@ -15,9 +15,8 @@ from repro.compiler import CompilerOptions, compile_model
 from repro.core.cost import CostModel
 from repro.core.exhaustive import solve_exhaustive
 from repro.core.local import solve_local
-from repro.core.packing.evaluate import validate_schedule
 from repro.core.selection_common import aggregate_cost
-from tests.conftest import random_dag
+from tests.conftest import assert_schedule_legal, random_dag
 
 
 class TestCompilerInvariants:
@@ -33,7 +32,7 @@ class TestCompilerInvariants:
             if node.op_type not in ("Input", "Constant"):
                 assert node.node_id in compiled_ids
         for cn in compiled.nodes:
-            validate_schedule(cn.packets, cn.schedule_body)
+            assert_schedule_legal(cn.packets, cn.schedule_body)
             assert cn.cycles >= 0
             if cn.node.op.is_compute_heavy:
                 assert cn.plan.instruction is not None

@@ -14,12 +14,12 @@ import pytest
 from repro.compiler import CompilerOptions, GCD2Compiler
 from repro.core.cost import CostModel
 from repro.core.exhaustive import solve_exhaustive
-from repro.core.packing.evaluate import validate_schedule
 from repro.graph.builder import GraphBuilder
 from repro.graph.execute import ReferenceExecutor
 from repro.graph.serialization import graph_from_dict, graph_to_dict
 from repro.isa.encoding import decode_program, encode_program
 from repro.runtime.executor import QuantizedExecutor
+from tests.conftest import assert_schedule_legal
 
 
 def _build_network():
@@ -64,7 +64,7 @@ class TestEndToEnd:
     def test_every_kernel_schedule_is_legal(self, pipeline):
         _, _, compiled = pipeline
         for cn in compiled.nodes:
-            validate_schedule(cn.packets, cn.schedule_body)
+            assert_schedule_legal(cn.packets, cn.schedule_body)
 
     def test_schedules_survive_binary_roundtrip(self, pipeline):
         _, _, compiled = pipeline

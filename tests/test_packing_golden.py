@@ -19,7 +19,7 @@ implementation; these digests are its reference.
 No wall time is asserted here.  Regenerate (only when packets are
 *meant* to move, or to tighten the counters)::
 
-    PYTHONPATH=src python tests/test_packing_golden.py
+    PYTHONPATH=src python -m tests.test_packing_golden
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import hashlib
 import json
 import os
 import random
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 import pytest
@@ -41,13 +41,13 @@ from repro.core.packing import (
     pack_block,
     pack_list_schedule,
     packing_work,
-    validate_schedule,
 )
 from repro.isa.instructions import Instruction, Opcode
 from repro.machine.description import machine_names, resolve_machine
 from repro.machine.packet import Packet
 from repro.machine.pipeline import schedule_cycles
 from repro.models.registry import build_model, model_names
+from tests.conftest import assert_schedule_legal
 
 GOLDEN_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -208,32 +208,36 @@ def random_blocks() -> List[List[Instruction]]:
     return [random_block(rnd) for _ in range(RANDOM_BLOCKS)]
 
 
+def random_packers(machine) -> Dict[str, Callable]:
+    """``label -> packer`` for the random blocks on one machine."""
+    packers = {
+        f"pack_block[{mode}]": functools.partial(
+            pack_block, config=SdaConfig(soft_mode=mode), machine=machine,
+        )
+        for mode in SOFT_MODES
+    }
+    packers["pack_list_schedule"] = functools.partial(
+        pack_list_schedule, machine=machine
+    )
+    return packers
+
+
 def random_entries() -> Dict[str, Dict[str, Dict[str, object]]]:
     """``machine -> packer -> per-block digests, packets, cycles, work``.
 
-    Every schedule is also checked by ``validate_schedule``.
+    Every schedule must also pass the lint legality rules.
     """
     blocks = random_blocks()
     result: Dict[str, Dict[str, Dict[str, object]]] = {}
     for machine_name in machine_names():
         machine = resolve_machine(machine_name)
-        packers = {
-            f"pack_block[{mode}]": functools.partial(
-                pack_block, config=SdaConfig(soft_mode=mode),
-                machine=machine,
-            )
-            for mode in SOFT_MODES
-        }
-        packers["pack_list_schedule"] = functools.partial(
-            pack_list_schedule, machine=machine
-        )
         result[machine_name] = {}
-        for label, packer in packers.items():
+        for label, packer in random_packers(machine).items():
             with packing_work() as work:
                 schedules = [packer(block) for block in blocks]
             digests, packets_total, cycles = [], 0, 0
             for block, packets in zip(blocks, schedules):
-                validate_schedule(packets, block)
+                assert_schedule_legal(packets, block, machine)
                 indices = json.dumps(packet_indices(packets, block))
                 digests.append(
                     hashlib.sha256(indices.encode()).hexdigest()[:10]
@@ -333,7 +337,7 @@ def test_work_grows_at_most_quadratically():
 def test_long_block_packs_without_recursion(machine):
     block = straight_line_block(800)
     packets = pack_best(block, machine=resolve_machine(machine))
-    validate_schedule(packets, block)
+    assert_schedule_legal(packets, block, machine)
 
 
 def _write(name: str, payload: Dict) -> None:

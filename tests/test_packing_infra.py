@@ -1,15 +1,15 @@
 """Tests for the packing infrastructure: CFG, IDG, schedule validation."""
 
-import pytest
-
 from repro.core.packing.cfg import BasicBlock, build_cfg, kernel_block
-from repro.core.packing.evaluate import validate_schedule
 from repro.core.packing.idg import build_idg
-from repro.errors import SchedulingError
 from repro.isa.dependencies import DependencyKind, classify_dependency
 from repro.isa.instructions import Instruction, Opcode
 from repro.machine.packet import Packet
-from tests.conftest import stream_program
+from tests.conftest import (
+    assert_schedule_legal,
+    schedule_errors,
+    stream_program,
+)
 
 
 class TestCfg:
@@ -96,32 +96,42 @@ class TestIdg:
         assert idg.work.classifications == before + 1
 
 
+def _rules(packets, body):
+    return [d.rule_id for d in schedule_errors(packets, body)]
+
+
 class TestValidateSchedule:
     def test_detects_missing_instruction(self):
         program = stream_program()
         packets = [Packet([program[0]])]
-        with pytest.raises(SchedulingError):
-            validate_schedule(packets, program)
+        assert _rules(packets, program) == ["LINT-SC001"]
 
     def test_detects_double_packing(self):
         program = [Instruction(Opcode.NOP), Instruction(Opcode.NOP)]
         packets = [Packet([program[0]]), Packet([program[0]])]
-        with pytest.raises(SchedulingError):
-            validate_schedule(packets, program)
+        assert "LINT-SC002" in _rules(packets, program)
 
     def test_detects_reordered_dependency(self):
         load = Instruction(Opcode.VLOAD, dests=("v0",), srcs=("r0",))
         use = Instruction(Opcode.VADD, dests=("v1",), srcs=("v0", "v0"))
         packets = [Packet([use]), Packet([load])]
-        with pytest.raises(SchedulingError):
-            validate_schedule(packets, [load, use])
+        assert _rules(packets, [load, use]) == ["LINT-SC004"]
+
+    def test_detects_copacked_hard_pair(self):
+        # Packet's constructor refuses the pair, so corrupt it in place
+        # the way a buggy packer would.
+        add = Instruction(Opcode.VADD, dests=("v1",), srcs=("v0", "v0"))
+        use = Instruction(Opcode.VMAX, dests=("v2",), srcs=("v1", "v0"))
+        packet = Packet([add])
+        packet.instructions.append(use)
+        assert _rules([packet], [add, use]) == ["LINT-PK001"]
 
     def test_accepts_legal_schedule(self):
         load = Instruction(Opcode.VLOAD, dests=("v0",), srcs=("r0",))
         use = Instruction(Opcode.VADD, dests=("v1",), srcs=("v0", "v0"))
-        validate_schedule([Packet([load]), Packet([use])], [load, use])
+        assert_schedule_legal([Packet([load]), Packet([use])], [load, use])
 
     def test_accepts_soft_pair_in_one_packet(self):
         load = Instruction(Opcode.VLOAD, dests=("v0",), srcs=("r0",))
         use = Instruction(Opcode.VADD, dests=("v1",), srcs=("v0", "v0"))
-        validate_schedule([Packet([load, use])], [load, use])
+        assert_schedule_legal([Packet([load, use])], [load, use])

@@ -16,7 +16,7 @@ from repro.core.packing.baselines import (
     pack_soft_to_hard,
     pack_soft_to_none,
 )
-from repro.core.packing.evaluate import schedule_summary, validate_schedule
+from repro.core.packing.evaluate import schedule_summary
 from repro.core.packing.sda import (
     SdaConfig,
     pack_best,
@@ -25,7 +25,7 @@ from repro.core.packing.sda import (
 )
 from repro.isa.instructions import Instruction, Opcode
 from repro.machine.pipeline import schedule_cycles
-from tests.conftest import stream_program
+from tests.conftest import assert_schedule_legal, stream_program
 
 ALL_PACKERS = [
     pack_instructions,
@@ -97,7 +97,7 @@ class TestScheduleValidity:
     def test_random_programs_pack_legally(self, seed, packer):
         program = _random_program(seed)
         packets = packer(program)
-        validate_schedule(packets, program)
+        assert_schedule_legal(packets, program)
 
     @pytest.mark.parametrize("packer", ALL_PACKERS)
     def test_kernel_bodies_pack_legally(self, packer):
@@ -107,13 +107,13 @@ class TestScheduleValidity:
             emit_elementwise_body("Add", 3, unroll=2),
             emit_division_body(),
         ):
-            validate_schedule(packer(body), body)
+            assert_schedule_legal(packer(body), body)
 
     @pytest.mark.parametrize("packer", ALL_PACKERS)
     def test_single_instruction_program(self, packer):
         program = [Instruction(Opcode.NOP)]
         packets = packer(program)
-        validate_schedule(packets, program)
+        assert_schedule_legal(packets, program)
         assert len(packets) == 1
 
     @pytest.mark.parametrize("packer", ALL_PACKERS)
@@ -280,7 +280,7 @@ class TestSdaConfigValidation:
         assert default is PACKERS["sda"]
         tuned = configured_packer("sda", SdaConfig(w=0.5, soft_penalty=2.0))
         packets = tuned(body)
-        validate_schedule(packets, body)
+        assert_schedule_legal(packets, body)
 
     def test_configured_packer_unknown_name(self):
         from repro.core.packing import configured_packer

@@ -10,6 +10,7 @@ from repro.core.local import solve_local
 from repro.errors import (
     GraphError,
     GraphVerificationError,
+    LoweringVerificationError,
     ProfileVerificationError,
     ScheduleVerificationError,
     SelectionError,
@@ -18,6 +19,7 @@ from repro.errors import (
 )
 from repro.verify import (
     verify_graph,
+    verify_lowering,
     verify_profile,
     verify_schedule,
     verify_selection,
@@ -110,6 +112,29 @@ class TestVerifySelection:
             verify_selection(graph, model, selection)
 
 
+class TestVerifyLowering:
+    @staticmethod
+    def _kernels(compiled):
+        return {cn.node.node_id: cn.kernel for cn in compiled.nodes}
+
+    def test_clean_kernels_pass(self):
+        compiled = compile_model(small_cnn())
+        verify_lowering(compiled.graph, self._kernels(compiled))
+
+    def test_bool_trip_count_rejected(self):
+        # ``True`` is an ``int`` to isinstance, but not a trip count.
+        compiled = compile_model(small_cnn())
+        kernels = self._kernels(compiled)
+        victim = compiled.nodes[0]
+        victim.kernel.trips = True
+        with pytest.raises(LoweringVerificationError) as excinfo:
+            verify_lowering(compiled.graph, kernels)
+        error = excinfo.value
+        assert error.stage == "lowering"
+        assert error.node == victim.node.name
+        assert error.details["rule"] == "LINT-LW002"
+
+
 class TestVerifySchedule:
     def test_clean_compiled_model_passes(self):
         compiled = compile_model(small_cnn())
@@ -118,8 +143,12 @@ class TestVerifySchedule:
     def test_nan_cycles_rejected(self):
         compiled = compile_model(small_cnn())
         compiled.nodes[0].cycles = math.nan
-        with pytest.raises(ScheduleVerificationError):
+        with pytest.raises(ScheduleVerificationError) as excinfo:
             verify_schedule(compiled.nodes)
+        error = excinfo.value
+        assert error.stage == "packing"
+        assert error.node == compiled.nodes[0].node.name
+        assert error.details["rule"] == "LINT-SC003"
 
     def test_shared_cached_schedules_checked_once(self):
         # Identical kernel bodies share one packet list through the

@@ -11,6 +11,7 @@ import pytest
 
 from repro.compiler import CompilerOptions, GCD2Compiler
 from repro.errors import ReproError, VerificationError
+from repro.lint import FAULT_RULES
 from repro.models import build_model, model_names
 from repro.verify.faultinject import FAULTS, hooks_for, inject
 from tests.conftest import small_cnn
@@ -34,6 +35,10 @@ class TestFaultMatrix:
         assert error.stage == fault.stage
         # The structured rendering names the stage.
         assert f"[{fault.stage}]" in str(error)
+        # Lowering and packing are checked by the lint rules: the error
+        # names the rule that caught the fault.
+        if fault_name in FAULT_RULES:
+            assert error.details["rule"] == FAULT_RULES[fault_name]
 
     @pytest.mark.parametrize("fault_name", sorted(FAULTS))
     def test_faults_escape_when_verification_is_off(
